@@ -31,6 +31,7 @@ __all__ = [
     "SymplecticSpectrum",
     "equiv",
     "eval_gaussian",
+    "gaussian_exponent",
     "gaussian_positive",
     "phase_space_form",
     "preorder_leq",
@@ -165,6 +166,13 @@ class PreorderWitness:
 # --------------------------------------------------------------- evaluation
 
 
+def gaussian_exponent(triple: GaussianTriple, x: np.ndarray, y: np.ndarray) -> complex:
+    """Exponent of the Gaussian kernel at one point pair of float arrays (unchecked)."""
+    d = x - y
+    s = x + y
+    return -(d @ triple.a @ d) - 1j * (d @ triple.b @ s) - (s @ triple.c @ s)
+
+
 def eval_gaussian(triple: GaussianTriple, x, y) -> complex:
     """Evaluate the Gaussian kernel at one point pair; modulus is at most 1."""
     triple.require_kernel_valid()
@@ -172,10 +180,7 @@ def eval_gaussian(triple: GaussianTriple, x, y) -> complex:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != (triple.n,) or y.shape != (triple.n,):
         raise ValueError("x and y must have length n")
-    d = x - y
-    s = x + y
-    expo = -(d @ triple.a @ d) - 1j * (d @ triple.b @ s) - (s @ triple.c @ s)
-    return complex(np.exp(expo))
+    return complex(np.exp(gaussian_exponent(triple, x, y)))
 
 
 def eval_gaussian_grid(triple: GaussianTriple, points: np.ndarray) -> np.ndarray:

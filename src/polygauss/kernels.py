@@ -6,7 +6,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import GaussianTriple, eval_gaussian_grid, triple_exponent_matrix
+from .gaussian import (
+    GaussianTriple,
+    eval_gaussian_grid,
+    gaussian_exponent,
+    triple_exponent_matrix,
+)
 from .poly import MultiPoly
 
 __all__ = ["PolyGaussianKernel"]
@@ -61,13 +66,7 @@ class PolyGaussianKernel:
     def evaluate(self, x, y) -> complex:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        d = x - y
-        s = x + y
-        expo = (
-            -(d @ self.triple.a @ d)
-            - 1j * (d @ self.triple.b @ s)
-            - (s @ self.triple.c @ s)
-        )
+        expo = gaussian_exponent(self.triple, x, y)
         return complex(self.norm * self.poly.evaluate(x, y) * np.exp(expo))
 
     def gram(self, points: np.ndarray) -> np.ndarray:

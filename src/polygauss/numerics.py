@@ -3,23 +3,36 @@
 Everything here operates on plain ``numpy`` arrays and is sized for the
 small (at most a few dozen rows) matrices that arise in kernel exponents,
 phase-space forms and trace-moment chains.  All functions are pure.
+
+The exact-integration engine runs on two number types, and the inputs
+choose which: complex (or real) float64 arrays, or numpy object arrays of
+``mpmath`` numbers.  The few dense operations that differ between the two
+(symmetry and positive-definiteness checks, inverse, square root of a
+determinant, pi) live here; the mpmath branch of the square-root
+determinant takes real matrices only.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import mpmath
 import numpy as np
 
 __all__ = [
     "BracketError",
     "IndefiniteMatrixError",
     "NotSymmetricError",
-    "as_real_symmetric",
+    "as_array",
     "as_complex_symmetric",
+    "as_number",
+    "as_real_symmetric",
     "bracket_root",
     "complex_sqrt_det",
+    "inverse",
+    "is_mp",
     "min_eigenvalue",
+    "pi",
     "psd_sqrt",
     "sym_eig",
 ]
@@ -39,6 +52,38 @@ class IndefiniteMatrixError(ValueError):
 
 class BracketError(ValueError):
     """Root bracket is invalid: no sign change on the interval."""
+
+
+MP_TYPES = (mpmath.mpf, mpmath.mpc)
+
+
+def is_mp(x) -> bool:
+    """True for an mpmath number or a numpy object array (of mpmath numbers)."""
+    return isinstance(x, MP_TYPES) or (isinstance(x, np.ndarray) and x.dtype == object)
+
+
+def as_number(x, like=None):
+    """``x`` as a Python complex, or as an mpmath number if it is one or ``like`` holds them."""
+    if isinstance(x, MP_TYPES):
+        return x
+    return mpmath.mpmathify(x) if like is not None and is_mp(like) else complex(x)
+
+
+def as_array(x) -> np.ndarray:
+    """``x`` as a complex array, or unchanged if it is an object (mpmath) array."""
+    return x if is_mp(x) else np.asarray(x, dtype=complex)
+
+
+def pi(like):
+    """pi in the number type of ``like``."""
+    return +mpmath.pi if is_mp(like) else np.pi
+
+
+def inverse(m: np.ndarray) -> np.ndarray:
+    """Matrix inverse, in the number type of ``m``."""
+    if is_mp(m):
+        return np.array(mpmath.inverse(mpmath.matrix(m.tolist())).tolist(), dtype=object)
+    return np.linalg.inv(m)
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
@@ -71,10 +116,23 @@ def as_real_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
 
 
 def as_complex_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Validate and return the complex-symmetric (not Hermitian) average."""
-    m = _check_square(m).astype(complex, copy=False)
-    scale = max(1.0, np.linalg.norm(m))
-    if np.max(np.abs(m - m.T)) > rtol * scale:
+    """Validate and return the complex-symmetric (not Hermitian) average.
+
+    An object (mpmath) array keeps its number type.
+    """
+    if is_mp(m):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        diff = m - m.T
+        if not any(diff.flat):
+            return m
+        scale = max([1.0] + [abs(v) for v in m.flat])
+        asym = max(abs(v) for v in diff.flat)
+    else:
+        m = _check_square(m).astype(complex, copy=False)
+        scale = max(1.0, np.linalg.norm(m))
+        asym = np.max(np.abs(m - m.T))
+    if asym > rtol * scale:
         raise NotSymmetricError("matrix asymmetry exceeds tolerance")
     return 0.5 * (m + m.T)
 
@@ -119,9 +177,18 @@ def complex_sqrt_det(m: np.ndarray) -> complex:
     the eigenvalues to the open right half-plane.  The result is the product
     of the principal (positive-real-part) square roots of the individual
     eigenvalues; unlike a single principal square root of ``det(m)`` it
-    varies continuously with ``m`` on this domain.
+    varies continuously with ``m`` on this domain.  An mpmath matrix must
+    be real, where the product is the positive root of the determinant.
     """
     m = as_complex_symmetric(m)
+    if is_mp(m):
+        if any(mpmath.im(v) for v in m.flat):
+            raise NotImplementedError("mpmath square-root determinant takes real matrices")
+        try:
+            chol = mpmath.cholesky(mpmath.matrix(m.tolist()))
+        except ValueError:
+            raise IndefiniteMatrixError("matrix is not positive definite") from None
+        return mpmath.fprod(chol[i, i] for i in range(chol.rows))
     re_min = np.linalg.eigvalsh(0.5 * (m.real + m.real.T))[0]
     if re_min <= 0.0:
         raise IndefiniteMatrixError(

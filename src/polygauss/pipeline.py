@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,133 +109,119 @@ def run_pipeline(
     stages: list[StageResult] = []
     certificate: Optional[dict] = None
     certificate_stage: Optional[str] = None
-
-    def record(name: str, status: str, t0: float, **payload) -> None:
+    npt: Optional[dict] = None
+    for name, run in _stage_table(spec, config):
+        t0 = time.perf_counter()
+        status, payload = run()
         stages.append(StageResult(name, status, time.perf_counter() - t0, payload))
+        if status == "certificate":
+            certificate, certificate_stage = payload, name
+            break
+        if status == "info":
+            npt = jsonable(payload)
+    return PipelineReport(
+        spec.checksum, config.kmax, tuple(stages), certificate_stage, certificate, npt
+    )
 
-    def certify(name: str, payload: dict) -> None:
-        nonlocal certificate, certificate_stage
-        certificate, certificate_stage = payload, name
 
-    # Stage 1: self-adjointness.
-    t0 = time.perf_counter()
-    witness = _self_adjoint_witness(spec.poly)
-    if witness is not None:
-        payload = {"kind": "not_self_adjoint", **witness}
-        record("self_adjoint", "certificate", t0, **payload)
-        certify("self_adjoint", payload)
-        return PipelineReport(spec.checksum, config.kmax, tuple(stages), certificate_stage, certificate)
-    record("self_adjoint", "passed", t0)
+def _stage_table(spec: ParsedSpec, config: PipelineConfig):
+    """Yield ``(name, run)`` per stage in order; ``run()`` gives ``(status, payload)``.
+
+    The kernel is built only once the polynomial is known to be self-adjoint.
+    """
+    yield "self_adjoint", lambda: _self_adjoint_stage(spec.poly)
     kernel = spec.kernel()
+    yield "odd_degree_gate", lambda: _odd_degree_stage(spec.poly)
+    yield "gaussian_gate", lambda: _gaussian_stage(spec.triple)
+    yield "mercer_search", lambda: _mercer_stage(kernel, config)
+    yield "ek_sweep", lambda: _ek_stage(kernel, config.kmax)
+    for delta in config.deltas:
+        yield f"delta_sweep(delta={delta:g})", partial(_ek_stage, kernel, config.kmax, delta)
+    # Informational NPT stage (does not affect the positivity verdict).
+    if spec.partition is not None:
+        yield "npt", lambda: _npt_stage(kernel, spec.partition, config)
 
-    # Stage 2: odd-degree gate.
-    t0 = time.perf_counter()
-    gate = odd_degree_gate(spec.poly)
+
+def _self_adjoint_stage(poly: MultiPoly) -> tuple[str, dict]:
+    witness = _self_adjoint_witness(poly)
+    if witness is None:
+        return "passed", {}
+    return "certificate", {"kind": "not_self_adjoint", **witness}
+
+
+def _odd_degree_stage(poly: MultiPoly) -> tuple[str, dict]:
+    gate = odd_degree_gate(poly)
     if gate.rejected:
-        payload = {
+        return "certificate", {
             "kind": "odd_degree",
             "witness_subset": [i + 1 for i in (gate.witness or ())],
             "restricted_degree": gate.restricted_degree,
         }
-        record("odd_degree_gate", "certificate", t0, **payload)
-        certify("odd_degree_gate", payload)
-        return PipelineReport(spec.checksum, config.kmax, tuple(stages), certificate_stage, certificate)
-    record("odd_degree_gate", "passed" if gate.kind == "pass" else "skipped", t0, gate=gate.kind)
+    return ("passed" if gate.kind == "pass" else "skipped"), {"gate": gate.kind}
 
-    # Stage 3: Gaussian spectral gate.
-    t0 = time.perf_counter()
-    gv = gaussian_positive(spec.triple)
-    if not gv.positive:
-        payload = {
-            "kind": "gaussian_gate",
-            "mu_max": gv.mu_max,
-            "spectrum": gv.spectrum.mus,
-            "borderline": gv.borderline,
-        }
-        record("gaussian_gate", "certificate", t0, **payload)
-        certify("gaussian_gate", payload)
-        return PipelineReport(spec.checksum, config.kmax, tuple(stages), certificate_stage, certificate)
-    record("gaussian_gate", "passed", t0, mu_max=gv.mu_max, spectrum=gv.spectrum.mus)
 
-    # Stage 4: Mercer search.
-    t0 = time.perf_counter()
+def _gaussian_stage(triple) -> tuple[str, dict]:
+    gv = gaussian_positive(triple)
+    if gv.positive:
+        return "passed", {"mu_max": gv.mu_max, "spectrum": gv.spectrum.mus}
+    return "certificate", {
+        "kind": "gaussian_gate",
+        "mu_max": gv.mu_max,
+        "spectrum": gv.spectrum.mus,
+        "borderline": gv.borderline,
+    }
+
+
+def _mercer_stage(kernel, config: PipelineConfig) -> tuple[str, dict]:
     cert = spectral.mercer_search(
         kernel, trials=config.trials, points_per_trial=config.points_per_trial, seed=config.seed
     )
-    if cert is not None:
-        payload = {
-            "kind": "mercer",
-            "points": cert.points,
-            "coeffs": cert.coeffs,
-            "value": cert.value,
-            "trial": cert.trial,
-        }
-        record("mercer_search", "certificate", t0, **payload)
-        certify("mercer_search", payload)
-        return PipelineReport(spec.checksum, config.kmax, tuple(stages), certificate_stage, certificate)
-    record("mercer_search", "passed", t0, trials=config.trials, seed=config.seed)
+    if cert is None:
+        return "passed", {"trials": config.trials, "seed": config.seed}
+    return "certificate", {
+        "kind": "mercer",
+        "points": cert.points,
+        "coeffs": cert.coeffs,
+        "value": cert.value,
+        "trial": cert.trial,
+    }
 
-    # Stage 5: e_k sweep on the kernel itself.
-    t0 = time.perf_counter()
-    try:
-        report = spectral.positivity_sweep(kernel, config.kmax)
-    except ValueError as exc:
-        record("ek_sweep", "skipped", t0, reason=str(exc))
-        report = None
-    if report is not None:
-        if report.certified_not_psd:
-            payload = _ek_payload(0.0, report)
-            record("ek_sweep", "certificate", t0, **payload)
-            certify("ek_sweep", payload)
-            return PipelineReport(spec.checksum, config.kmax, tuple(stages), certificate_stage, certificate)
-        record("ek_sweep", "passed", t0, eks=report.eks, moments=report.moments)
 
-    # Stage 6: the sweep over shift-equivalent Gaussian weights.
-    for delta in config.deltas:
-        t0 = time.perf_counter()
-        name = f"delta_sweep(delta={delta:g})"
+def _ek_stage(kernel, kmax: int, delta: Optional[float] = None) -> tuple[str, dict]:
+    """The e_k sweep on the kernel itself, or on its delta-shifted equivalent."""
+    if delta is not None:
         try:
             shifted = spectral.delta_shifted_normalized(kernel, delta)
         except ValueError as exc:
-            record(name, "skipped", t0, reason=str(exc))
-            continue
+            return "skipped", {"reason": str(exc)}
         if not equiv(kernel.triple, shifted.triple):
-            record(name, "skipped", t0, reason="shift left the equivalence class")
-            continue
-        try:
-            report = spectral.positivity_sweep(shifted, config.kmax)
-        except ValueError as exc:
-            record(name, "skipped", t0, reason=str(exc))
-            continue
-        if report.certified_not_psd:
-            payload = _ek_payload(delta, report)
-            record(name, "certificate", t0, **payload)
-            certify(name, payload)
-            return PipelineReport(spec.checksum, config.kmax, tuple(stages), certificate_stage, certificate)
-        record(name, "passed", t0, eks=report.eks)
+            return "skipped", {"reason": "shift left the equivalence class"}
+        kernel = shifted
+    try:
+        report = spectral.positivity_sweep(kernel, kmax)
+    except ValueError as exc:
+        return "skipped", {"reason": str(exc)}
+    if report.certified_not_psd:
+        return "certificate", _ek_payload(delta or 0.0, report)
+    if delta is not None:
+        return "passed", {"eks": report.eks}
+    return "passed", {"eks": report.eks, "moments": report.moments}
 
-    # Informational NPT stage (does not affect the positivity verdict).
-    npt_payload = None
-    if spec.partition is not None:
-        t0 = time.perf_counter()
-        verdict = npt_gate(
-            kernel,
-            spec.partition,
-            escalate=config.escalate_npt,
-            kmax=config.kmax,
-            trials=config.trials,
-            seed=config.seed,
-        )
-        npt_payload = {
-            "verdict": verdict.verdict,
-            "stage": verdict.stage,
-            "pt_mu_max": verdict.gaussian_verdict.mu_max,
-        }
-        record("npt", "info", t0, **npt_payload)
 
-    return PipelineReport(
-        spec.checksum, config.kmax, tuple(stages), certificate_stage, certificate, jsonable(npt_payload)
+def _npt_stage(kernel, partition, config: PipelineConfig) -> tuple[str, dict]:
+    verdict = npt_gate(
+        kernel,
+        partition,
+        escalate=config.escalate_npt,
+        kmax=config.kmax,
+        trials=config.trials,
+        seed=config.seed,
     )
+    return "info", {
+        "verdict": verdict.verdict,
+        "stage": verdict.stage,
+        "pt_mu_max": verdict.gaussian_verdict.mu_max,
+    }
 
 
 def _ek_payload(delta: float, report: spectral.SpectralReport) -> dict:

@@ -1,6 +1,8 @@
-"""Sparse multivariate polynomials with complex coefficients.
+"""Sparse multivariate polynomials with complex or mpmath coefficients.
 
-A :class:`MultiPoly` stores a map from exponent tuples to coefficients.  In
+A :class:`MultiPoly` stores a map from exponent tuples to coefficients.
+Coefficients are Python complex numbers unless they are given as mpmath
+numbers, which arithmetic keeps as they are.  In
 kernel contexts the variable list is split in half: the first ``n``
 variables are the "left" block (x) and the last ``n`` the "right" block (y),
 and self-adjointness means that swapping the blocks and conjugating the
@@ -21,9 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
+
+from .numerics import MP_TYPES, as_array, as_number
 
 __all__ = [
     "MultiPoly",
@@ -32,8 +37,10 @@ __all__ = [
     "universal_point_check",
 ]
 
-# Coefficients below PRUNE_RTOL * max|coeff| are dropped after arithmetic so
-# the degree stays well defined under cancellation.
+# Float64 coefficients below PRUNE_RTOL * max|coeff| are dropped after
+# arithmetic so the degree stays well defined under cancellation.  mpmath
+# coefficients are never pruned: their relative spread legitimately reaches
+# far below float64 resolution (1e-23 in the delta-shifted family chains).
 PRUNE_RTOL = 1e-14
 
 # Subset enumeration in the odd-degree gate is capped at 2**MAX_GATE_N work.
@@ -44,11 +51,21 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
 
+def _cleaned(terms: dict, prune: bool) -> dict:
+    """Drop zero coefficients and, for float64 polynomials, negligible ones."""
+    terms = {e: c for e, c in terms.items() if c}
+    if prune and terms and not any(isinstance(c, MP_TYPES) for c in terms.values()):
+        cmax = max(abs(c) for c in terms.values())
+        terms = {e: c for e, c in terms.items() if abs(c) > PRUNE_RTOL * cmax}
+    return terms
+
+
 class MultiPoly:
     """Immutable sparse polynomial over ``nvars`` real variables.
 
     ``terms`` maps exponent tuples (length ``nvars``, nonnegative ints) to
-    nonzero complex coefficients.  Do not mutate a returned term mapping.
+    nonzero complex or mpmath coefficients.  Do not mutate a returned term
+    mapping.
     """
 
     __slots__ = ("nvars", "_terms")
@@ -73,13 +90,18 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = complex(coeff)
+                c = as_number(coeff)
                 if c != 0:
-                    clean[exps] = clean.get(exps, 0j) + c
-        if prune and clean:
-            cmax = max(abs(c) for c in clean.values())
-            clean = {e: c for e, c in clean.items() if abs(c) > PRUNE_RTOL * cmax}
-        self._terms = clean
+                    clean[exps] = clean.get(exps, 0) + c
+        self._terms = _cleaned(clean, prune)
+
+    @classmethod
+    def _from_terms(cls, nvars: int, terms: dict, prune: bool = True) -> "MultiPoly":
+        """Trusted constructor for arithmetic results (exponents already valid)."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out._terms = _cleaned(terms, prune)
+        return out
 
     # ---------------------------------------------------------------- basics
 
@@ -151,13 +173,13 @@ class MultiPoly:
         other = self._coerce(other)
         merged = dict(self._terms)
         for exps, coeff in other._terms.items():
-            merged[exps] = merged.get(exps, 0j) + coeff
-        return MultiPoly(self.nvars, merged)
+            merged[exps] = merged.get(exps, 0) + coeff
+        return MultiPoly._from_terms(self.nvars, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self._terms.items()}, prune=False)
+        return MultiPoly._from_terms(self.nvars, {e: -c for e, c in self._terms.items()}, False)
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -167,33 +189,34 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if np.isscalar(other):
-            c = complex(other)
-            if c == 0:
-                return MultiPoly.zero(self.nvars)
-            return MultiPoly(
-                self.nvars, {e: c * v for e, v in self._terms.items()}, prune=False
+            c = as_number(other)
+            return MultiPoly._from_terms(
+                self.nvars, {e: c * v for e, v in self._terms.items()}, False
             )
         other = self._coerce(other)
         prod: dict[tuple[int, ...], complex] = {}
+        get = prod.get
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod[key] = prod.get(key, 0j) + c1 * c2
-        return MultiPoly(self.nvars, prod)
+                key = tuple(map(add, e1, e2))
+                c = c1 * c2
+                prev = get(key)
+                prod[key] = c if prev is None else prev + c
+        return MultiPoly._from_terms(self.nvars, prod)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = MultiPoly.constant(self.nvars, 1.0)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if k > 1 else base
             k >>= 1
-        return out
+        return MultiPoly.constant(self.nvars, 1.0) if out is None else out
 
     def _coerce(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
@@ -201,7 +224,7 @@ class MultiPoly:
                 raise ValueError("variable count mismatch")
             return other
         if np.isscalar(other):
-            return MultiPoly.constant(self.nvars, complex(other))
+            return MultiPoly.constant(self.nvars, other)
         raise TypeError(f"cannot combine MultiPoly with {type(other)!r}")
 
     # ------------------------------------------------------------ evaluation
@@ -210,7 +233,7 @@ class MultiPoly:
         point = np.asarray(point)
         if point.shape != (self.nvars,):
             raise ValueError(f"point has shape {point.shape}, expected ({self.nvars},)")
-        total = 0j
+        total = 0
         for exps, coeff in self._terms.items():
             val = coeff
             for z, e in zip(point, exps):
@@ -252,15 +275,15 @@ class MultiPoly:
     # -------------------------------------------------------- transformations
 
     def conjugate(self) -> "MultiPoly":
-        return MultiPoly(
-            self.nvars, {e: c.conjugate() for e, c in self._terms.items()}, prune=False
+        return MultiPoly._from_terms(
+            self.nvars, {e: c.conjugate() for e, c in self._terms.items()}, False
         )
 
     def adjoint(self) -> "MultiPoly":
         """Swap the x and y blocks and conjugate the coefficients."""
         n = self.n
         swapped = {e[n:] + e[:n]: c.conjugate() for e, c in self._terms.items()}
-        return MultiPoly(self.nvars, swapped, prune=False)
+        return MultiPoly._from_terms(self.nvars, swapped, False)
 
     def is_self_adjoint(self, tol: float = 0.0) -> bool:
         """True iff the adjoint reproduces the polynomial.
@@ -296,18 +319,18 @@ class MultiPoly:
                 if e:
                     new[var_map[i]] += e
             key = tuple(new)
-            out[key] = out.get(key, 0j) + coeff
-        return MultiPoly(nvars_new, out)
+            out[key] = out.get(key, 0) + coeff
+        return MultiPoly._from_terms(nvars_new, out)
 
     def compose_affine(self, linear: np.ndarray, const: Optional[np.ndarray] = None) -> "MultiPoly":
         """Substitute ``z_old[i] = sum_j linear[i, j] z_new[j] + const[i]``."""
-        linear = np.asarray(linear, dtype=complex)
+        linear = as_array(linear)
         if linear.ndim != 2 or linear.shape[0] != self.nvars:
             raise ValueError(f"linear map must have shape ({self.nvars}, nvars_new)")
         nvars_new = linear.shape[1]
         if const is None:
             const = np.zeros(self.nvars, dtype=complex)
-        const = np.asarray(const, dtype=complex)
+        const = as_array(const)
         images: list[MultiPoly] = []
         for i in range(self.nvars):
             t: dict[tuple[int, ...], complex] = {}
@@ -342,7 +365,7 @@ class MultiPoly:
         kept = {
             e: c for e, c in self._terms.items() if all(e[i] == 0 for i in dead)
         }
-        return MultiPoly(self.nvars, kept, prune=False)
+        return MultiPoly._from_terms(self.nvars, kept, False)
 
     # ---------------------------------------------------------- serialization
 

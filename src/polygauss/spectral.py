@@ -45,7 +45,6 @@ __all__ = [
     "delta_scan",
     "delta_shifted_normalized",
     "elementary_symmetric",
-    "elementary_symmetric_det",
     "elementary_symmetric_from_eigenvalues",
     "mercer_search",
     "moment",
@@ -59,38 +58,44 @@ MAX_MOMENT_ORDER = 8
 EK_TOL_BASE = 1e-9  # e_k certificate threshold scales as EK_TOL_BASE * max(1, |e_1|)^k
 DELTA_INFINITY_PROXY = 1.0e4
 DELTA_INFINITY_CONFIRM = 1.0e5
+# Decimal digits of the family sweep.  Large shifts cluster the eigenvalues
+# and drive the true e_k far below double-precision cancellation noise; at
+# delta = 1e5 the chain coefficients spread over 23 orders of magnitude.
+FAMILY_DPS = 100
 
 
 # ------------------------------------------------------------ trace moments
 
 
-def chain_form(kernel: PolyGaussianKernel, j: int) -> GaussianForm:
-    """Cyclic j-fold product integrand of a kernel, over ``j * n`` variables.
+def chain_form(
+    poly: MultiPoly, exponent_matrix: np.ndarray, j: int, scale=1.0
+) -> GaussianForm:
+    """Cyclic j-fold product integrand of ``scale * poly * exp(-(x, y)^T M (x, y))``.
 
-    Block ``i`` of the variables is the i-th integration point; each kernel
-    copy couples consecutive blocks and the last copy closes the cycle.
+    ``M`` is the 2n x 2n exponent matrix.  Block ``i`` of the first ``j * n``
+    variables is the i-th integration point; each kernel copy couples
+    consecutive blocks and the last copy closes the cycle.  Variables of
+    ``poly`` beyond its first 2n are parameters shared by every link; they
+    trail the chain variables.  The number type of ``M`` and of the
+    coefficients carries through.
     """
     if j < 1:
         raise ValueError("chain order must be at least 1")
-    n = kernel.n
-    nv = j * n
-    m2 = kernel.exponent_matrix()
-    quad = np.zeros((nv, nv), dtype=complex)
-    pref = MultiPoly.constant(nv, 1.0)
+    m2 = exponent_matrix
+    n = m2.shape[0] // 2
+    params = [j * n + p for p in range(poly.nvars - 2 * n)]
+    nv = j * n + len(params)
+    quad = np.zeros((nv, nv), dtype=m2.dtype)
+    pref = None
     for i in range(j):
-        u, v = i, (i + 1) % j
-        var_map = [u * n + d for d in range(n)] + [v * n + d for d in range(n)]
-        t = np.zeros((2 * n, nv))
-        for old, new in enumerate(var_map):
-            t[old, new] = 1.0
-        quad = quad + t.T @ m2 @ t
-        pref = pref * kernel.poly.rename_vars(nv, var_map)
-    re_min = np.linalg.eigvalsh(0.5 * (quad.real + quad.real.T))[0]
-    if re_min <= 0.0:
-        raise numerics.IndefiniteMatrixError(
-            f"chain quadratic form lost positive-definite real part (min {re_min:.3e})"
-        )
-    return GaussianForm(pref, quad, np.zeros(nv, dtype=complex), 0j, kernel.norm**j)
+        var_map = [i * n + d for d in range(n)] + [(i + 1) % j * n + d for d in range(n)]
+        if j == 1:  # x and y collapse onto one block
+            quad[:n, :n] = (m2[:n, :n] + m2[n:, :n]) + (m2[:n, n:] + m2[n:, n:])
+        else:
+            quad[np.ix_(var_map, var_map)] += m2
+        link = poly.rename_vars(nv, var_map + params)
+        pref = link if pref is None else pref * link
+    return GaussianForm(pref, quad, np.zeros(nv, dtype=quad.dtype), 0, scale**j)
 
 
 def moment(
@@ -107,7 +112,7 @@ def moment(
         raise ValueError(
             f"chain prefactor degree {j * deg} exceeds the degree cap {degree_cap}"
         )
-    form = chain_form(kernel, j)
+    form = chain_form(kernel.poly, kernel.exponent_matrix(), j, kernel.norm)
     return form.integrate(range(form.nvars), degree_cap=degree_cap).real_scalar()
 
 
@@ -120,37 +125,21 @@ def moments(kernel: PolyGaussianKernel, kmax: int, **kwargs) -> np.ndarray:
 
 
 def elementary_symmetric(moment_values: Sequence[float]) -> np.ndarray:
-    """Newton's identities: (e_1, ..., e_K) from the trace powers (M_1, ..., M_K)."""
-    m = np.asarray(moment_values, dtype=float)
-    if m.size == 0:
-        raise ValueError("need at least one moment")
-    e = np.zeros(m.size + 1)
-    e[0] = 1.0
-    for k in range(1, m.size + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += (-1.0) ** (j - 1) * e[k - j] * m[j - 1]
-        e[k] = acc / k
-    return e[1:]
+    """Newton's identities: (e_1, ..., e_K) from the trace powers (M_1, ..., M_K).
 
-
-def elementary_symmetric_det(moment_values: Sequence[float]) -> np.ndarray:
-    """Determinant formulation of the same recursion (kept as a cross-check).
-
-    ``e_k`` is ``1/k!`` times the determinant of the k-by-k matrix with
-    ``M_{i-j+1}`` on and below the diagonal and ``i+1`` on the superdiagonal.
+    Float input gives a float array; mpmath input an object array of mpmath
+    numbers.
     """
-    m = np.asarray(moment_values, dtype=float)
-    out = np.zeros(m.size)
-    for k in range(1, m.size + 1):
-        mat = np.zeros((k, k))
-        for i in range(k):
-            for jcol in range(i + 1):
-                mat[i, jcol] = m[i - jcol]
-            if i + 1 < k:
-                mat[i, i + 1] = i + 1
-        out[k - 1] = np.linalg.det(mat) / math.factorial(k)
-    return out
+    m = list(moment_values)
+    if not m:
+        raise ValueError("need at least one moment")
+    e = [1]
+    for k in range(1, len(m) + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            acc += (-1) ** (j - 1) * e[k - j] * m[j - 1]
+        e.append(acc / k)
+    return np.array(e[1:])
 
 
 def elementary_symmetric_from_eigenvalues(
@@ -264,146 +253,50 @@ class GammaFamily:
             raise ValueError(f"family member at gamma={gamma} has non-positive trace")
         return raw.with_norm(1.0 / tr)
 
-    def ek_evaluator(
-        self, kmax: int, delta: float, dps: int = 100
-    ) -> Callable[[float], np.ndarray]:
+    def ek_evaluator(self, kmax: int, delta: float) -> Callable[[float], np.ndarray]:
         """gamma -> (e_1..e_kmax) map at fixed delta.
 
         The gamma dependence of every chain integral is polynomial, so the
-        moment integrals are carried out once per order and the sweep reduces
+        moment integrals are carried out once per order, with gamma as a
+        parameter variable shared by the chain links, and the sweep reduces
         to polynomial evaluation plus trace normalization and the Newton
-        recursion.  Large shifts cluster the eigenvalues and drive the true
-        e_k far below double-precision cancellation noise, so this path runs
-        in ``dps``-digit arithmetic (the inputs are exact binary floats).
+        recursion.  Everything runs in ``FAMILY_DPS``-digit mpmath
+        arithmetic (the inputs are exact binary floats).
         """
         if np.max(np.abs(self.base_triple.b)) != 0.0:
             raise NotImplementedError(
                 "high-precision family sweep requires B = 0 (real chain forms)"
             )
-        return _mp_ek_evaluator(self, kmax, delta, dps)
-
-
-def _mp_chain_matrix(a, c, j: int, n: int):
-    """Chain quadratic form (j*n square, mpmath) for a B = 0 triple."""
-    apc = [[a[r][s] + c[r][s] for s in range(n)] for r in range(n)]
-    cma = [[c[r][s] - a[r][s] for s in range(n)] for r in range(n)]
-    q = mpmath.zeros(j * n)
-    for i in range(j):
-        u, v = i, (i + 1) % j
-        for r in range(n):
-            for s in range(n):
-                q[u * n + r, u * n + s] += apc[r][s]
-                q[v * n + r, v * n + s] += apc[r][s]
-                q[u * n + r, v * n + s] += cma[r][s]
-                q[v * n + r, u * n + s] += cma[r][s]
-    return q
-
-
-class _MpWickTable:
-    """Isserlis moments in mpmath arithmetic for a real covariance matrix."""
-
-    def __init__(self, cov) -> None:
-        self.cov = cov
-        m = cov.rows
-        self._memo = {(0,) * m: mpmath.mpf(1)}
-
-    def moment(self, alpha: tuple[int, ...]):
-        if sum(alpha) % 2:
-            return mpmath.mpf(0)
-        cached = self._memo.get(alpha)
-        if cached is not None:
-            return cached
-        i = next(k for k, e in enumerate(alpha) if e > 0)
-        beta = list(alpha)
-        beta[i] -= 1
-        total = mpmath.mpf(0)
-        for j, bj in enumerate(beta):
-            if bj > 0:
-                gamma = list(beta)
-                gamma[j] -= 1
-                total += self.cov[i, j] * bj * self.moment(tuple(gamma))
-        self._memo[alpha] = total
-        return total
-
-
-def _mp_ek_evaluator(
-    family: "GammaFamily", kmax: int, delta: float, dps: int
-) -> Callable[[float], np.ndarray]:
-    n = family.n
-    with mpmath.workdps(dps):
-        a = [[mpmath.mpf(float(family.base_triple.a[r, s])) + mpmath.mpf(delta) * (r == s)
-              for s in range(n)] for r in range(n)]
-        c = [[mpmath.mpf(float(family.base_triple.c[r, s])) + mpmath.mpf(delta) * (r == s)
-              for s in range(n)] for r in range(n)]
-        # Base polynomial terms, split as (chain-variable exponents, gamma power).
-        base_terms = [
-            (exps[: 2 * n], exps[2 * n], mpmath.mpf(co.real))
-            for exps, co in family.poly_gamma.terms.items()
-        ]
-        if any(abs(co.imag) != 0.0 for _, co in family.poly_gamma.terms.items()):
+        if any(co.imag != 0.0 for co in self.poly_gamma.terms.values()):
             raise NotImplementedError("family polynomial must have real coefficients")
+        n = self.n
+        to_mp = np.vectorize(mpmath.mpf, otypes=[object])
+        with mpmath.workdps(FAMILY_DPS):
+            shift = to_mp(delta * np.eye(n))
+            a = to_mp(self.base_triple.a) + shift
+            c = to_mp(self.base_triple.c) + shift
+            exponent_matrix = np.block([[a + c, c - a], [c - a, a + c]])
+            poly = MultiPoly(
+                self.poly_gamma.nvars,
+                {e: mpmath.mpf(co.real) for e, co in self.poly_gamma.terms.items()},
+            )
+            # Per order j, Tr(K_gamma^j) before normalization as a polynomial in
+            # gamma (the chains carry no linear exponent terms, so const = 0).
+            traces = []
+            for j in range(1, kmax + 1):
+                form = chain_form(poly, exponent_matrix, j).integrate(range(j * n))
+                traces.append(form.poly * form.scale)
 
-        gamma_polys = []  # per order j: dict gamma_power -> mpf coefficient
-        dets = []
-        for j in range(1, kmax + 1):
-            q = _mp_chain_matrix(a, c, j, n)
-            dets.append(mpmath.det(q))
-            cov = mpmath.inverse(q) / 2
-            table = _MpWickTable(cov)
-            # Chain prefactor: product over cycle links of the base polynomial.
-            pref: dict[tuple[int, ...], dict[int, mpmath.mpf]] = {
-                (0,) * (j * n): {0: mpmath.mpf(1)}
-            }
-            for i in range(j):
-                u, v = i, (i + 1) % j
-                nxt: dict[tuple[int, ...], dict[int, mpmath.mpf]] = {}
-                for exps, gpoly in pref.items():
-                    for fexps, gpow, fco in base_terms:
-                        new = list(exps)
-                        for d in range(n):
-                            new[u * n + d] += fexps[d]
-                            new[v * n + d] += fexps[n + d]
-                        key = tuple(new)
-                        slot = nxt.setdefault(key, {})
-                        for p, pc in gpoly.items():
-                            slot[p + gpow] = slot.get(p + gpow, mpmath.mpf(0)) + pc * fco
-                pref = nxt
-            mom: dict[int, mpmath.mpf] = {}
-            for exps, gpoly in pref.items():
-                wick = table.moment(exps)
-                if wick == 0:
-                    continue
-                for p, pc in gpoly.items():
-                    mom[p] = mom.get(p, mpmath.mpf(0)) + pc * wick
-            gamma_polys.append(mom)
-        # Trace powers: M_j = (q_j / q_1^j) * sqrt(det(Q_1)^j / det(Q_j)); the
-        # pi^(jn/2) factors of the Gaussian integrals cancel in the ratio.
-        scale_ratios = [
-            mpmath.sqrt(dets[0] ** j / dets[j - 1]) for j in range(1, kmax + 1)
-        ]
+        def eks_at(gamma: float) -> np.ndarray:
+            with mpmath.workdps(FAMILY_DPS):
+                g = (mpmath.mpf(gamma),)
+                raw = [trace(g) for trace in traces]
+                if raw[0] <= 0:
+                    raise ValueError(f"non-positive trace at gamma={gamma}")
+                eks = elementary_symmetric([r / raw[0] ** j for j, r in enumerate(raw, 1)])
+                return np.array([float(v) for v in eks])
 
-    def eks_at(gamma: float) -> np.ndarray:
-        with mpmath.workdps(dps):
-            g = mpmath.mpf(gamma)
-            raw = [
-                sum(pc * g**p for p, pc in gamma_polys[j - 1].items())
-                for j in range(1, kmax + 1)
-            ]
-            if raw[0] <= 0:
-                raise ValueError(f"non-positive trace at gamma={gamma}")
-            mj = [
-                raw[j - 1] / raw[0] ** j * scale_ratios[j - 1]
-                for j in range(1, kmax + 1)
-            ]
-            e = [mpmath.mpf(1)]
-            for k in range(1, kmax + 1):
-                acc = mpmath.mpf(0)
-                for j in range(1, k + 1):
-                    acc += (-1) ** (j - 1) * e[k - j] * mj[j - 1]
-                e.append(acc / k)
-            return np.array([float(v) for v in e[1:]])
-
-    return eks_at
+        return eks_at
 
 
 @dataclass(frozen=True)
@@ -423,7 +316,6 @@ def z_root(
     gamma_range: tuple[float, float] = (0.0, 20.0),
     samples: int = 64,
     tol: float = 1e-6,
-    dps: int = 100,
 ) -> ZRootResult:
     """Locate the smallest parameter where ``e_k`` changes sign.
 
@@ -433,10 +325,8 @@ def z_root(
     ten-times-larger one.
     """
     if math.isinf(delta):
-        proxy = _z_root_finite(family, k, DELTA_INFINITY_PROXY, gamma_range, samples, tol, dps)
-        confirm = _z_root_finite(
-            family, k, DELTA_INFINITY_CONFIRM, gamma_range, samples, tol, dps
-        )
+        proxy = _z_root_finite(family, k, DELTA_INFINITY_PROXY, gamma_range, samples, tol)
+        confirm = _z_root_finite(family, k, DELTA_INFINITY_CONFIRM, gamma_range, samples, tol)
         if abs(proxy.gamma_root - confirm.gamma_root) > 1e-3:
             raise ConsistencyError(
                 "limit root did not stabilize: "
@@ -444,14 +334,14 @@ def z_root(
                 f"{confirm.gamma_root} at {DELTA_INFINITY_CONFIRM:g}"
             )
         return ZRootResult(k, math.inf, confirm.gamma_root, confirm.bracket)
-    return _z_root_finite(family, k, delta, gamma_range, samples, tol, dps)
+    return _z_root_finite(family, k, delta, gamma_range, samples, tol)
 
 
-def _z_root_finite(family, k, delta, gamma_range, samples, tol, dps) -> ZRootResult:
+def _z_root_finite(family, k, delta, gamma_range, samples, tol) -> ZRootResult:
     lo, hi = gamma_range
     if not lo < hi:
         raise ValueError("invalid gamma range")
-    eks_at = family.ek_evaluator(k, delta, dps=dps)
+    eks_at = family.ek_evaluator(k, delta)
 
     def f(gamma: float) -> float:
         return float(eks_at(gamma)[k - 1])
@@ -489,7 +379,6 @@ def delta_scan(
     gamma_range: tuple[float, float] = (0.0, 20.0),
     samples: int = 64,
     tol: float = 1e-6,
-    dps: int = 100,
 ) -> DeltaScanResult:
     """Track the e_k sign-change threshold along the Gaussian equivalence class.
 
@@ -505,7 +394,7 @@ def delta_scan(
         if not equiv(family.triple(0.0), family.triple(probe)):
             raise ConsistencyError(f"shift {d} left the Gaussian equivalence class")
         results.append(
-            z_root(family, k, d, gamma_range=gamma_range, samples=samples, tol=tol, dps=dps)
+            z_root(family, k, d, gamma_range=gamma_range, samples=samples, tol=tol)
         )
     best = min(results, key=lambda r: r.gamma_root)
     by_delta = sorted(results, key=lambda r: r.delta)

@@ -9,17 +9,22 @@ variables being integrated.  Integrating out a subset of variables is exact:
 complete the square, shift the polynomial, and evaluate the centered moments
 by Isserlis pairing with covariance ``Q_int^{-1} / 2``.  External variables
 (including ones appearing only in the polynomial) pass through, so the same
-code path powers traces, trace-power moments, partial traces and phase-space
-transforms.
+code path powers traces, trace-power moments, partial traces, phase-space
+transforms and the parameter-dependent moments of kernel families.
+
+One engine serves two number types, and the inputs choose which: complex
+float64 arrays and coefficients run in double precision, while numpy object
+arrays and coefficients of ``mpmath`` numbers run at the working mpmath
+precision (real quadratic forms only).  The type-specific dense operations
+are in :mod:`polygauss.numerics`.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -51,21 +56,36 @@ class DegreeCapError(ValueError):
     """Prefactor degree exceeds the configured pairing cap."""
 
 
+def _picker(idx: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Function returning the entries of a tuple at ``idx``, as a tuple."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda e: (e[i],)
+    return itemgetter(*idx) if idx else lambda e: ()
+
+
 class WickTable:
-    """Memoized centered Gaussian moments for a fixed (complex) covariance."""
+    """Memoized centered Gaussian moments for a fixed covariance.
+
+    The covariance is a complex array or an object array of mpmath numbers;
+    moments come out in the same number type.
+    """
 
     def __init__(self, cov: np.ndarray) -> None:
-        cov = np.asarray(cov, dtype=complex)
+        cov = numerics.as_array(cov)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError("covariance must be square")
         self.cov = cov
-        self._memo: dict[tuple[int, ...], complex] = {(0,) * cov.shape[0]: 1.0 + 0j}
+        self._memo: dict[tuple[int, ...], complex] = {(0,) * cov.shape[0]: 1}
 
     def moment(self, alpha: Sequence[int]) -> complex:
         """E[w^alpha] for centered Gaussian w with the stored covariance."""
+        cached = self._memo.get(alpha) if type(alpha) is tuple else None
+        if cached is not None:
+            return cached
         alpha = tuple(int(e) for e in alpha)
         if sum(alpha) % 2:
-            return 0j
+            return 0
         return self._moment(alpha)
 
     def _moment(self, alpha: tuple[int, ...]) -> complex:
@@ -75,10 +95,10 @@ class WickTable:
         i = next(k for k, e in enumerate(alpha) if e > 0)
         beta = list(alpha)
         beta[i] -= 1
-        total = 0j
+        total = 0
         row = self.cov[i]
         for j, bj in enumerate(beta):
-            if bj > 0 and row[j] != 0:
+            if bj > 0 and row[j]:
                 gamma = list(beta)
                 gamma[j] -= 1
                 total += row[j] * bj * self._moment(tuple(gamma))
@@ -97,15 +117,15 @@ class GaussianForm:
     scale: complex = 1.0 + 0j
 
     def __post_init__(self) -> None:
-        quad = np.asarray(self.quad, dtype=complex)
+        quad = numerics.as_array(self.quad)
         quad = numerics.as_complex_symmetric(quad) if quad.size else quad.reshape(0, 0)
-        lin = np.asarray(self.lin, dtype=complex).reshape(-1)
+        lin = numerics.as_array(self.lin).reshape(-1)
         if quad.shape != (self.poly.nvars, self.poly.nvars) or lin.shape != (self.poly.nvars,):
             raise ValueError("quad/lin shapes do not match the polynomial variable count")
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "const", complex(self.const))
-        object.__setattr__(self, "scale", complex(self.scale))
+        object.__setattr__(self, "const", numerics.as_number(self.const, quad))
+        object.__setattr__(self, "scale", numerics.as_number(self.scale, quad))
 
     @property
     def nvars(self) -> int:
@@ -141,7 +161,9 @@ class GaussianForm:
 
         Requires the real part of the internal quadratic block to be positive
         definite.  The returned form lives on the remaining variables in
-        their original order.
+        their original order.  ``degree_cap`` bounds the prefactor degree in
+        the internal variables; external ones (such as family parameters)
+        only ride along.
         """
         internal = sorted(set(int(i) for i in internal))
         if any(i < 0 or i >= self.nvars for i in internal):
@@ -151,16 +173,13 @@ class GaussianForm:
         external = [i for i in range(self.nvars) if i not in set(internal)]
         m = len(internal)
         q_int = self.quad[np.ix_(internal, internal)]
-        re_min = np.linalg.eigvalsh(0.5 * (q_int.real + q_int.real.T))[0]
-        if re_min <= 0.0:
-            raise numerics.IndefiniteMatrixError(
-                f"integration block has non-positive-definite real part (min {re_min:.3e})"
-            )
-        deg = self.poly.degree() or 0
+        sqrt_det = numerics.complex_sqrt_det(q_int)  # raises unless Re(q_int) > 0
+        pick_int = _picker(internal)
+        deg = max((sum(pick_int(e)) for e in self.poly.terms), default=0)
         if deg > degree_cap:
             raise DegreeCapError(f"prefactor degree {deg} exceeds cap {degree_cap}")
 
-        q_inv = np.linalg.inv(q_int)
+        q_inv = numerics.inverse(q_int)
         cross = self.quad[np.ix_(internal, external)]  # (m, q)
         l_int = self.lin[internal]
         l_ext = self.lin[external]
@@ -168,77 +187,39 @@ class GaussianForm:
         quad_new = self.quad[np.ix_(external, external)] - cross.T @ q_inv @ cross
         lin_new = l_ext - cross.T @ q_inv @ l_int
         const_new = self.const + 0.25 * l_int @ q_inv @ l_int
-        scale_new = self.scale * np.pi ** (m / 2.0) / numerics.complex_sqrt_det(q_int)
+        scale_new = self.scale * numerics.pi(q_int) ** (m / 2.0) / sqrt_det
 
         # Completed-square mean of the internal block, affine in the externals:
         # mu(e) = q_inv @ (l_int / 2 - cross @ e).
         mu_const = 0.5 * q_inv @ l_int
         mu_lin = -q_inv @ cross  # (m, q)
-        cov = 0.5 * q_inv
-        table = WickTable(cov)
+        table = WickTable(0.5 * q_inv)
 
-        nvars_new = len(external)
-        ext_of = {v: k for k, v in enumerate(external)}
-        mu_polys: dict[int, MultiPoly] = {}
-        mu_pows: dict[tuple[int, int], MultiPoly] = {}
+        poly, pick_ext = self.poly, _picker(external)
+        if np.any(mu_const != 0) or np.any(mu_lin != 0):
+            # Substitute z_int = w + mu(e) onto the ring (w, e); the w block
+            # is then centered and pairs by Isserlis.
+            q = len(external)
+            linear = np.zeros((self.nvars, m + q), dtype=mu_lin.dtype)
+            const = np.zeros(self.nvars, dtype=mu_const.dtype)
+            for k, i in enumerate(internal):
+                linear[i, k] = 1
+                linear[i, m:] = mu_lin[k]
+                const[i] = mu_const[k]
+            for k, v in enumerate(external):
+                linear[v, m + k] = 1
+            poly = poly.compose_affine(linear, const)
+            pick_int, pick_ext = _picker(range(m)), _picker(range(m, m + q))
 
-        def mu_power(slot: int, e: int) -> MultiPoly:
-            key = (slot, e)
-            got = mu_pows.get(key)
-            if got is None:
-                base = mu_polys.get(slot)
-                if base is None:
-                    t: dict[tuple[int, ...], complex] = {}
-                    if mu_const[slot] != 0:
-                        t[(0,) * nvars_new] = mu_const[slot]
-                    for j in range(nvars_new):
-                        if mu_lin[slot, j] != 0:
-                            exps = [0] * nvars_new
-                            exps[j] = 1
-                            t[tuple(exps)] = mu_lin[slot, j]
-                    base = MultiPoly(nvars_new, t)
-                    mu_polys[slot] = base
-                got = base**e
-                mu_pows[key] = got
-            return got
-
-        shift_needed = bool(np.any(mu_const != 0) or np.any(mu_lin != 0))
         result: dict[tuple[int, ...], complex] = {}
+        for exps, coeff in poly.terms.items():
+            value = coeff * table.moment(pick_int(exps))
+            if value:
+                key = pick_ext(exps)
+                prev = result.get(key)
+                result[key] = value if prev is None else prev + value
 
-        def accumulate(exps_ext: tuple[int, ...], value: complex) -> None:
-            if value != 0:
-                result[exps_ext] = result.get(exps_ext, 0j) + value
-
-        for exps, coeff in self.poly.terms.items():
-            a_int = tuple(exps[i] for i in internal)
-            e_ext = [0] * nvars_new
-            for v in external:
-                e_ext[ext_of[v]] = exps[v]
-            e_ext = tuple(e_ext)
-            if not shift_needed:
-                accumulate(e_ext, coeff * table.moment(a_int))
-                continue
-            # z^a = prod_i (mu_i + w_i)^{a_i}; expand binomially per slot.
-            slots = [i for i, e in enumerate(a_int) if e > 0]
-            ranges = [range(a_int[i] + 1) for i in slots]
-            for beta_sel in itertools.product(*ranges) if slots else [()]:
-                beta = [0] * m
-                mult = coeff
-                mu_factor = MultiPoly.constant(nvars_new, 1.0)
-                for slot, b in zip(slots, beta_sel):
-                    a = a_int[slot]
-                    beta[slot] = b
-                    mult *= math.comb(a, b)
-                    if a - b:
-                        mu_factor = mu_factor * mu_power(slot, a - b)
-                wick = table.moment(tuple(beta))
-                if wick == 0:
-                    continue
-                for mexp, mco in (mu_factor * (mult * wick)).terms.items():
-                    key = tuple(a + b for a, b in zip(mexp, e_ext))
-                    accumulate(key, mco)
-
-        poly_new = MultiPoly(nvars_new, result)
+        poly_new = MultiPoly._from_terms(len(external), result)
         return GaussianForm(poly_new, quad_new, lin_new, const_new, scale_new)
 
 
@@ -248,11 +229,7 @@ class GaussianForm:
 def gaussian_integral(quad: np.ndarray, lin: Optional[np.ndarray] = None) -> complex:
     """Exact ``integral exp(-z^T quad z + lin^T z) dz`` over all variables."""
     quad = numerics.as_complex_symmetric(np.asarray(quad, dtype=complex))
-    m = quad.shape[0]
-    if lin is None:
-        lin = np.zeros(m, dtype=complex)
-    form = GaussianForm(MultiPoly.constant(m, 1.0), quad, np.asarray(lin, dtype=complex))
-    return form.integrate(range(m)).as_scalar()
+    return poly_gaussian_integral(MultiPoly.constant(quad.shape[0], 1.0), quad, lin)
 
 
 def poly_gaussian_integral(

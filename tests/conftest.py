@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 from polygauss.gaussian import GaussianTriple, symplectic_form
@@ -100,3 +103,22 @@ def gauss_hermite_oracle(prefactor: MultiPoly, quad: np.ndarray, lin: np.ndarray
     w = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
     det_jac = 1.0 / np.prod(np.diag(chol))
     return complex(det_jac * np.sum(w * phase * poly_vals))
+
+
+def elementary_symmetric_det(moment_values: Sequence[float]) -> np.ndarray:
+    """Determinant formulation of Newton's identities (cross-check oracle).
+
+    ``e_k`` is ``1/k!`` times the determinant of the k-by-k matrix with
+    ``M_{i-j+1}`` on and below the diagonal and ``i+1`` on the superdiagonal.
+    """
+    m = np.asarray(moment_values, dtype=float)
+    out = np.zeros(m.size)
+    for k in range(1, m.size + 1):
+        mat = np.zeros((k, k))
+        for i in range(k):
+            for jcol in range(i + 1):
+                mat[i, jcol] = m[i - jcol]
+            if i + 1 < k:
+                mat[i, i + 1] = i + 1
+        out[k - 1] = np.linalg.det(mat) / math.factorial(k)
+    return out

@@ -182,6 +182,14 @@ def test_cli_zscan_csv(tmp_path):
     assert abs(float(rows[1][2]) - 4.43150) < 1e-3
 
 
+def test_cli_zscan_order_six(capsys):
+    # The k = 6 chain prefactor has degree 12 in the integrated variables and
+    # 18 with the family parameter; only the former counts against the cap.
+    assert main(["zscan", "--k", "6", "--deltas", "250"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(doc["rows"][0]["gamma_root"] - 4.0395) < 1e-3
+
+
 def test_cli_npt(tmp_path):
     ent = _write_spec(
         tmp_path,

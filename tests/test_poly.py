@@ -1,5 +1,6 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,6 +48,19 @@ def test_pruning_keeps_degree_well_defined():
     tiny = MultiPoly(2, {(4, 4): 1.0, (0, 0): 1.0 - 1e-16})
     diff = big - tiny
     assert diff.degree() == 0  # the 1e-16 residue at (0,0) survives, (4,4) cancels
+
+
+def test_mpmath_coefficients_keep_their_type_and_are_never_pruned():
+    with mpmath.workdps(50):
+        tiny = mpmath.mpf("1e-25")
+        p = MultiPoly(2, {(1, 0): mpmath.mpf(1), (0, 1): tiny})
+        q = MultiPoly(2, {(0, 0): mpmath.mpf(2), (1, 0): mpmath.mpf(3)})
+        for r in (p, p + q, p * q, p.rename_vars(3, [2, 0])):
+            assert all(isinstance(c, mpmath.mpf) for c in r.terms.values())
+        assert p.terms[(0, 1)] == tiny
+        assert (p + q).terms[(0, 1)] == tiny
+        assert (p * q).terms[(0, 1)] == 2 * tiny
+        assert p.rename_vars(3, [2, 0]).terms == {(0, 0, 1): 1, (1, 0, 0): tiny}
 
 
 def test_self_adjointness_examples():
