@@ -123,6 +123,7 @@ def npt_gate(
     escalate: bool = False,
     kmax: int = 5,
     trials: int = 200,
+    points_per_trial: int = 20,
     seed: int = 0,
 ) -> NptVerdict:
     """Screen a density-operator kernel for NPT entanglement.
@@ -147,7 +148,9 @@ def npt_gate(
     sweep = spectral.positivity_sweep(transposed, kmax)
     if sweep.certified_not_psd:
         return NptVerdict(True, "ek_sweep", gv, sweep=sweep)
-    cert = spectral.mercer_search(transposed, trials=trials, seed=seed)
+    cert = spectral.mercer_search(
+        transposed, trials=trials, points_per_trial=points_per_trial, seed=seed
+    )
     if cert is not None:
         return NptVerdict(True, "mercer_search", gv, sweep=sweep, mercer=cert)
     return NptVerdict(False, "escalated", gv, sweep=sweep)

@@ -184,17 +184,21 @@ def eval_gaussian(triple: GaussianTriple, x, y) -> complex:
 
 
 def eval_gaussian_grid(triple: GaussianTriple, points: np.ndarray) -> np.ndarray:
-    """Vectorized kernel values over all row pairs of ``points`` (k, n)."""
+    """Vectorized kernel values over all row pairs of ``points`` (k, n).
+
+    A stack of point sets (..., k, n) gives a (..., k, k) stack whose slices
+    equal the 2-D call on each slice bit for bit.
+    """
     triple.require_kernel_valid()
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != triple.n:
-        raise ValueError("points must have shape (k, n)")
-    d = pts[:, None, :] - pts[None, :, :]
-    s = pts[:, None, :] + pts[None, :, :]
+    if pts.ndim < 2 or pts.shape[-1] != triple.n:
+        raise ValueError("points must have shape (k, n) or (..., k, n)")
+    d = pts[..., :, None, :] - pts[..., None, :, :]
+    s = pts[..., :, None, :] + pts[..., None, :, :]
     expo = (
-        -np.einsum("ijk,kl,ijl->ij", d, triple.a, d)
-        - 1j * np.einsum("ijk,kl,ijl->ij", d, triple.b, s)
-        - np.einsum("ijk,kl,ijl->ij", s, triple.c, s)
+        -np.einsum("...ijk,kl,...ijl->...ij", d, triple.a, d)
+        - 1j * np.einsum("...ijk,kl,...ijl->...ij", d, triple.b, s)
+        - np.einsum("...ijk,kl,...ijl->...ij", s, triple.c, s)
     )
     return np.exp(expo)
 

@@ -70,6 +70,9 @@ class PolyGaussianKernel:
         return complex(self.norm * self.poly.evaluate(x, y) * np.exp(expo))
 
     def gram(self, points: np.ndarray) -> np.ndarray:
-        """Kernel matrix ``K[i, j] = kernel(points[i], points[j])`` (complex)."""
+        """Kernel matrix ``K[i, j] = kernel(points[i], points[j])`` (complex).
+
+        A stack of point sets (..., k, n) gives the stack of their matrices.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.norm * self.poly.eval_grid(pts) * eval_gaussian_grid(self.triple, pts)

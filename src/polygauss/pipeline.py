@@ -215,6 +215,7 @@ def _npt_stage(kernel, partition, config: PipelineConfig) -> tuple[str, dict]:
         escalate=config.escalate_npt,
         kmax=config.kmax,
         trials=config.trials,
+        points_per_trial=config.points_per_trial,
         seed=config.seed,
     )
     return "info", {

@@ -253,23 +253,25 @@ class MultiPoly:
     def eval_grid(self, points: np.ndarray) -> np.ndarray:
         """Vectorized ``P(points[i], points[j])`` over all pairs of rows.
 
-        ``points`` has shape (k, n); the result is a complex (k, k) array.
+        ``points`` has shape (k, n), or (..., k, n) for a stack of point sets;
+        the result is a complex (k, k) array, or (..., k, k).  Each slice of a
+        stacked call equals the 2-D call on that slice bit for bit.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.n:
-            raise ValueError("points must have shape (k, n)")
-        k = pts.shape[0]
-        out = np.zeros((k, k), dtype=complex)
+        if pts.ndim < 2 or pts.shape[-1] != self.n:
+            raise ValueError("points must have shape (k, n) or (..., k, n)")
+        rows = pts.shape[:-1]
+        out = np.zeros(rows + rows[-1:], dtype=complex)
         n = self.n
         for exps, coeff in self._terms.items():
-            xi = np.ones(k)
-            yj = np.ones(k)
+            xi = np.ones(rows)
+            yj = np.ones(rows)
             for d in range(n):
                 if exps[d]:
-                    xi = xi * pts[:, d] ** exps[d]
+                    xi = xi * pts[..., d] ** exps[d]
                 if exps[n + d]:
-                    yj = yj * pts[:, d] ** exps[n + d]
-            out += coeff * np.outer(xi, yj)
+                    yj = yj * pts[..., d] ** exps[n + d]
+            out += coeff * (xi[..., :, None] * yj[..., None, :])
         return out
 
     # -------------------------------------------------------- transformations

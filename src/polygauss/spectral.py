@@ -58,6 +58,7 @@ MAX_MOMENT_ORDER = 8
 EK_TOL_BASE = 1e-9  # e_k certificate threshold scales as EK_TOL_BASE * max(1, |e_1|)^k
 DELTA_INFINITY_PROXY = 1.0e4
 DELTA_INFINITY_CONFIRM = 1.0e5
+MERCER_MAX_BLOCK = 128  # trials per stacked Gram build; bounds its memory
 # Decimal digits of the family sweep.  Large shifts cluster the eigenvalues
 # and drive the true e_k far below double-precision cancellation noise; at
 # delta = 1e5 the chain coefficients spread over 23 orders of magnitude.
@@ -445,28 +446,59 @@ def mercer_search(
 ) -> Optional[MercerCertificate]:
     """Randomized search for a finite positivity violation.
 
-    Samples Gaussian point clouds, assembles the Hermitian kernel matrix and
-    inspects its smallest eigenvalue.  A candidate certificate is re-verified
-    by direct summation before being returned.  ``None`` means no violation
-    was found within the budget; it is not a positivity proof.
+    Trial ``t`` samples a Gaussian point cloud from ``default_rng([seed, t])``
+    and assembles its Hermitian kernel matrix.  Trials run in blocks of
+    doubling size (1, 2, 4, ...): one stacked Gram build and one stacked
+    ``eigvalsh`` screen a block, and only trials whose smallest eigenvalue
+    falls below half the certificate threshold go on, in trial order, to the
+    per-trial ``eigh`` test and the direct-summation re-verification.  The
+    screen is looser than that test, so the returned certificate, its
+    ``trial`` index included, is the one a trial-by-trial search finds.
+    ``None`` means no violation was found within the budget; it is not a
+    positivity proof.
     """
     if cloud_scale is None:
         cloud_scale = 0.5 / math.sqrt(max(numerics.min_eigenvalue(kernel.triple.c), 1e-12))
     factors = (1.0, 0.5, 2.0)
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        pts = cloud_scale * factors[trial % len(factors)] * rng.standard_normal(
-            (points_per_trial, kernel.n)
+    start, size = 0, 1
+    while start < trials:
+        block = range(start, min(start + size, trials))
+        clouds = [
+            cloud_scale
+            * factors[trial % len(factors)]
+            * np.random.default_rng([seed, trial]).standard_normal((points_per_trial, kernel.n))
+            for trial in block
+        ]
+        grams = kernel.gram(np.stack(clouds))
+        grams = 0.5 * (grams + np.conj(grams).swapaxes(-1, -2))
+        scales = np.maximum(
+            np.abs(np.trace(grams, axis1=-2, axis2=-1)), np.max(np.abs(grams), axis=(-2, -1))
         )
-        gram = kernel.gram(pts)
-        gram = 0.5 * (gram + gram.conj().T)
-        vals, vecs = np.linalg.eigh(gram)
-        scale = max(float(np.abs(np.trace(gram))), float(np.max(np.abs(gram))), 1e-300)
-        if vals[0] < -1e-9 * scale:
-            coeffs = np.conj(vecs[:, 0])
-            value = verify_mercer_certificate(kernel, pts, coeffs)
-            if value < -1e-9 * scale:
-                return MercerCertificate(pts, coeffs, value, float(vals[0]), trial)
+        try:
+            lowest = np.linalg.eigvalsh(grams)[:, 0]
+        except np.linalg.LinAlgError:
+            lowest = np.full(len(block), np.nan)  # no screen: every trial is a candidate
+        # A trial is dropped only when the screen shows it clear of the
+        # threshold; NaN marks stay candidates, as the per-trial test decides them.
+        for i in np.flatnonzero(~(lowest >= -0.5e-9 * scales)):
+            cert = _mercer_trial(kernel, clouds[i], grams[i], block[i])
+            if cert is not None:
+                return cert
+        start, size = block.stop, min(2 * size, MERCER_MAX_BLOCK)
+    return None
+
+
+def _mercer_trial(
+    kernel: PolyGaussianKernel, pts: np.ndarray, gram: np.ndarray, trial: int
+) -> Optional[MercerCertificate]:
+    """The exact test of one trial's symmetrized kernel matrix."""
+    vals, vecs = np.linalg.eigh(gram)
+    scale = max(float(np.abs(np.trace(gram))), float(np.max(np.abs(gram))), 1e-300)
+    if vals[0] < -1e-9 * scale:
+        coeffs = np.conj(vecs[:, 0])
+        value = verify_mercer_certificate(kernel, pts, coeffs)
+        if value < -1e-9 * scale:
+            return MercerCertificate(pts, coeffs, value, float(vals[0]), trial)
     return None
 
 

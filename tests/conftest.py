@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from polygauss import numerics
 from polygauss.gaussian import GaussianTriple, symplectic_form
 from polygauss.kernels import PolyGaussianKernel
 from polygauss.poly import MultiPoly
+from polygauss.spectral import MercerCertificate, verify_mercer_certificate
 
 
 def random_kernel_valid_triple(rng: np.random.Generator, n: int, b_scale: float = 1.0) -> GaussianTriple:
@@ -122,3 +124,35 @@ def elementary_symmetric_det(moment_values: Sequence[float]) -> np.ndarray:
                 mat[i, i + 1] = i + 1
         out[k - 1] = np.linalg.det(mat) / math.factorial(k)
     return out
+
+
+def mercer_search_reference(
+    kernel: PolyGaussianKernel,
+    trials: int = 200,
+    points_per_trial: int = 20,
+    seed: int = 0,
+    cloud_scale: Optional[float] = None,
+) -> Optional[MercerCertificate]:
+    """Trial-by-trial Mercer search: one Gram build and one ``eigh`` per trial.
+
+    Reference for the blocked ``spectral.mercer_search``, which must return
+    the same certificate bit for bit.
+    """
+    if cloud_scale is None:
+        cloud_scale = 0.5 / math.sqrt(max(numerics.min_eigenvalue(kernel.triple.c), 1e-12))
+    factors = (1.0, 0.5, 2.0)
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        pts = cloud_scale * factors[trial % len(factors)] * rng.standard_normal(
+            (points_per_trial, kernel.n)
+        )
+        gram = kernel.gram(pts)
+        gram = 0.5 * (gram + gram.conj().T)
+        vals, vecs = np.linalg.eigh(gram)
+        scale = max(float(np.abs(np.trace(gram))), float(np.max(np.abs(gram))), 1e-300)
+        if vals[0] < -1e-9 * scale:
+            coeffs = np.conj(vecs[:, 0])
+            value = verify_mercer_certificate(kernel, pts, coeffs)
+            if value < -1e-9 * scale:
+                return MercerCertificate(pts, coeffs, value, float(vals[0]), trial)
+    return None

@@ -6,7 +6,9 @@ from polygauss import entangle, gaussian, spectral
 from polygauss.entangle import Bipartition, entangled_fixture
 from polygauss.gaussian import GaussianTriple
 from polygauss.kernels import PolyGaussianKernel
+from polygauss.pipeline import PipelineConfig, run_pipeline
 from polygauss.poly import MultiPoly
+from polygauss.specio import parse_kernel_spec, serialize_kernel_spec
 
 
 def _product_state_triple() -> GaussianTriple:
@@ -120,6 +122,24 @@ def test_npt_gate_escalation_runs_clean_on_separable_state():
     verdict = entangle.npt_gate(k, Bipartition(2, (0,)), escalate=True, kmax=3, trials=30)
     assert not verdict.certified and verdict.stage == "escalated"
     assert verdict.sweep is not None and not verdict.sweep.certified_not_psd
+
+
+def test_escalated_npt_forwards_points_per_trial(monkeypatch):
+    seen = []
+    search = spectral.mercer_search
+
+    def recording(kernel, **kwargs):
+        seen.append(kwargs.get("points_per_trial"))
+        return search(kernel, **kwargs)
+
+    monkeypatch.setattr(spectral, "mercer_search", recording)
+    k = PolyGaussianKernel.pure_gaussian(_product_state_triple())
+    b = Bipartition(2, (0,))
+    entangle.npt_gate(k, b, escalate=True, kmax=3, trials=5, points_per_trial=7)
+    assert seen == [7]
+    spec = parse_kernel_spec(serialize_kernel_spec(k, b))
+    run_pipeline(spec, PipelineConfig(kmax=3, trials=5, points_per_trial=7, escalate_npt=True))
+    assert seen == [7, 7, 7]  # the pipeline's own search, then the escalated NPT one
 
 
 def test_gaussian_separability_verdicts():

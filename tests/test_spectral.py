@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import elementary_symmetric_det, random_kernel
+from conftest import (
+    elementary_symmetric_det,
+    mercer_search_reference,
+    random_kernel_valid_triple,
+    random_kernel,
+    random_self_adjoint_poly,
+)
 from polygauss import spectral
 from polygauss.families import kappa_gamma_family, kappa_gamma_kernel, kappa_gamma_norm
-from polygauss.gaussian import GaussianTriple
+from polygauss.gaussian import GaussianTriple, eval_gaussian_grid
 from polygauss.kernels import PolyGaussianKernel
 from polygauss.numerics import BracketError
 from polygauss.poly import MultiPoly
@@ -165,6 +171,88 @@ def test_mercer_search_deterministic():
     c2 = spectral.mercer_search(k, trials=50, seed=7)
     assert c1 is not None and c2 is not None
     assert c1.trial == c2.trial and np.array_equal(c1.points, c2.points)
+
+
+def _assert_same_certificate(got, ref):
+    if ref is None:
+        assert got is None
+        return
+    assert got is not None and got.trial == ref.trial
+    assert np.array_equal(got.points, ref.points)
+    assert np.array_equal(got.coeffs, ref.coeffs)
+    assert got.value == ref.value and got.min_eigenvalue == ref.min_eigenvalue
+
+
+def test_mercer_search_matches_trial_by_trial_reference():
+    # kappa at gamma = 4.2 with 4 points certifies at trial 12, inside the
+    # fourth block (trials 7..14); the budgets cut before, at and past it.
+    k = kappa_gamma_kernel(4.2)
+    for budget in (0, 1, 12, 13, 37, 200):
+        got = spectral.mercer_search(k, trials=budget, points_per_trial=4, seed=0)
+        ref = mercer_search_reference(k, trials=budget, points_per_trial=4, seed=0)
+        _assert_same_certificate(got, ref)
+        assert (got is None) == (budget <= 12)
+    assert got.trial == 12
+    cases = [
+        # seed 3: trials 15 and 25 of the block 15..30 both certify, and 25
+        # has the lower eigenvalue; the search must still report trial 15
+        (kappa_gamma_kernel(4.2), 4, 3, 15),
+        (kappa_gamma_kernel(6.5), 20, 0, 0),  # the first block of one trial
+        (PolyGaussianKernel.pure_gaussian(GaussianTriple.from_scalars(1.0, 2.0)), 20, 1, 0),  # C > A
+        # the rank-one product kernel is positive: no certificate
+        (PolyGaussianKernel.pure_gaussian(GaussianTriple(np.eye(1), np.zeros((1, 1)), np.eye(1))), 20, 2, None),
+    ]
+    for kernel, points, seed, trial in cases:
+        got = spectral.mercer_search(kernel, points_per_trial=points, seed=seed)
+        _assert_same_certificate(got, mercer_search_reference(kernel, points_per_trial=points, seed=seed))
+        assert (None if got is None else got.trial) == trial
+
+
+def test_mercer_search_without_screen_matches_reference(monkeypatch):
+    # A stacked eigensolver failure leaves every trial of the block a
+    # candidate for the per-trial test, in trial order.
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    k = kappa_gamma_kernel(4.2)
+    got = spectral.mercer_search(k, points_per_trial=4, seed=3)
+    _assert_same_certificate(got, mercer_search_reference(k, points_per_trial=4, seed=3))
+    assert got.trial == 15
+
+
+def test_stacked_grid_evaluators_match_per_slice_calls():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3):
+        # B with a nonzero symmetric part and, for n > 1, antisymmetric part
+        upper = np.triu(np.ones((n, n)), 1)
+        b = 0.7 * np.eye(n) + 0.4 * (upper - upper.T)
+        triple = random_kernel_valid_triple(rng, n)
+        triple = GaussianTriple(triple.a, b, triple.c)
+        quartic = {(2,) + (0,) * (n - 1) + (2,) + (0,) * (n - 1): 1.0}
+        poly = random_self_adjoint_poly(rng, n, terms=4, max_deg=2) + MultiPoly(2 * n, quartic)
+        assert poly.degree() == 4
+        kernel = PolyGaussianKernel(poly, triple)
+        stack = rng.standard_normal((5, 7, n))
+        for evaluate in (poly.eval_grid, lambda p: eval_gaussian_grid(triple, p), kernel.gram):
+            stacked = evaluate(stack)
+            assert stacked.shape == (5, 7, 7)
+            for i in range(5):
+                assert np.array_equal(stacked[i], evaluate(stack[i]))
+            assert evaluate(stack[None, :2]).shape == (1, 2, 7, 7)
+            flat = evaluate(stack[0])
+            assert flat.shape == (7, 7) and flat.dtype == complex
+            with pytest.raises(ValueError):
+                evaluate(stack[0, :, :-1] if n > 1 else np.ones((7, 2)))
+        for i, j in ((0, 0), (1, 4)):
+            x, y = stack[0, i], stack[0, j]
+            assert np.isclose(poly.eval_grid(stack[0])[i, j], poly.evaluate(x, y), rtol=1e-12)
+            assert np.isclose(kernel.gram(stack[0])[i, j], kernel.evaluate(x, y), rtol=1e-12)
+        with pytest.raises(ValueError):
+            poly.eval_grid(stack[0, 0])
+        with pytest.raises(ValueError):
+            eval_gaussian_grid(triple, stack[0, 0])
+        assert kernel.gram(stack[0, 0]).shape == (1, 1)  # one point, as np.atleast_2d reads it
 
 
 def test_nystrom_trace_example():
