@@ -157,13 +157,14 @@ def cmd_preorder(args) -> int:
 
 def cmd_zscan(args) -> int:
     lo, hi = (float(v) for v in args.gamma_range.split(":"))
-    family = families.kappa_gamma_family()
-    results = []
-    for delta in _parse_floats(args.deltas):
-        r = spectral.z_root(
-            family, args.k, delta, gamma_range=(lo, hi), samples=args.samples, tol=args.tol
-        )
-        results.append(r)
+    scan = spectral.delta_scan(
+        families.kappa_gamma_family(),
+        args.k,
+        _parse_floats(args.deltas),
+        gamma_range=(lo, hi),
+        samples=args.samples,
+        tol=args.tol,
+    )
     rows = [
         {
             "k": r.k,
@@ -172,9 +173,9 @@ def cmd_zscan(args) -> int:
             "bracket_lo": r.bracket[0],
             "bracket_hi": r.bracket[1],
         }
-        for r in results
+        for r in scan.results
     ]
-    best = min(results, key=lambda r: r.gamma_root)
+    best = scan.best
     doc = {
         "rows": rows,
         "best_gamma_root": best.gamma_root,

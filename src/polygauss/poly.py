@@ -255,7 +255,9 @@ class MultiPoly:
 
         ``points`` has shape (k, n), or (..., k, n) for a stack of point sets;
         the result is a complex (k, k) array, or (..., k, k).  Each slice of a
-        stacked call equals the 2-D call on that slice bit for bit.
+        stacked call equals the 2-D call on that slice bit for bit.  Each
+        coordinate power ``points[..., d] ** e`` is computed once per call
+        and shared by the terms and by both blocks.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim < 2 or pts.shape[-1] != self.n:
@@ -263,14 +265,22 @@ class MultiPoly:
         rows = pts.shape[:-1]
         out = np.zeros(rows + rows[-1:], dtype=complex)
         n = self.n
+        powers: dict[tuple[int, int], np.ndarray] = {}
+
+        def power(d: int, e: int) -> np.ndarray:
+            p = powers.get((d, e))
+            if p is None:
+                p = powers[d, e] = pts[..., d] ** e
+            return p
+
         for exps, coeff in self._terms.items():
             xi = np.ones(rows)
             yj = np.ones(rows)
             for d in range(n):
                 if exps[d]:
-                    xi = xi * pts[..., d] ** exps[d]
+                    xi = xi * power(d, exps[d])
                 if exps[n + d]:
-                    yj = yj * pts[..., d] ** exps[n + d]
+                    yj = yj * power(d, exps[n + d])
             out += coeff * (xi[..., :, None] * yj[..., None, :])
         return out
 

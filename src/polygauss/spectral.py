@@ -21,6 +21,7 @@ spectrum by grid discretization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -63,6 +64,8 @@ MERCER_MAX_BLOCK = 128  # trials per stacked Gram build; bounds its memory
 # and drive the true e_k far below double-precision cancellation noise; at
 # delta = 1e5 the chain coefficients spread over 23 orders of magnitude.
 FAMILY_DPS = 100
+# Chain prefactors kept by chain_form: a kernel's orders with room to spare.
+CHAIN_CACHE_SIZE = 16
 
 
 # ------------------------------------------------------------ trace moments
@@ -78,25 +81,53 @@ def chain_form(
     consecutive blocks and the last copy closes the cycle.  Variables of
     ``poly`` beyond its first 2n are parameters shared by every link; they
     trail the chain variables.  The number type of ``M`` and of the
-    coefficients carries through.
+    coefficients carries through.  The polynomial prefactor depends only on
+    ``(poly, n, j)`` and comes from a small cache, so the stages that share a
+    polynomial (the e_k sweep, the delta-shifted sweeps and their trace
+    normalizations) build it once.
     """
     if j < 1:
         raise ValueError("chain order must be at least 1")
     m2 = exponent_matrix
     n = m2.shape[0] // 2
-    params = [j * n + p for p in range(poly.nvars - 2 * n)]
-    nv = j * n + len(params)
+    nv = j * n + poly.nvars - 2 * n
     quad = np.zeros((nv, nv), dtype=m2.dtype)
-    pref = None
     for i in range(j):
         var_map = [i * n + d for d in range(n)] + [(i + 1) % j * n + d for d in range(n)]
         if j == 1:  # x and y collapse onto one block
             quad[:n, :n] = (m2[:n, :n] + m2[n:, :n]) + (m2[:n, n:] + m2[n:, n:])
         else:
             quad[np.ix_(var_map, var_map)] += m2
+    terms = poly.terms
+    pref = _chain_prefactor(
+        poly.nvars, tuple(terms.items()), tuple(map(type, terms.values())), n, j, mpmath.mp.prec
+    )
+    return GaussianForm(pref, quad, np.zeros(nv, dtype=quad.dtype), 0, scale**j)
+
+
+@functools.lru_cache(maxsize=CHAIN_CACHE_SIZE)
+def _chain_prefactor(
+    nvars: int, items: tuple, types: tuple, n: int, j: int, prec: int
+) -> MultiPoly:
+    """Product of the j renamed links of the polynomial with terms ``items``.
+
+    The key is the polynomial's content: its terms in their order (which
+    fixes the order of every sum), the coefficient types (``types`` only
+    keys the cache: an mpmath coefficient equals and hashes like the complex
+    of the same value) and the mpmath precision its products round to.
+    Coefficients compare by value, so two polynomials whose coefficients
+    differ only in the sign of a zero real or imaginary part share an entry;
+    their products differ at most in the signs of zero parts.
+    """
+    poly = MultiPoly._from_terms(nvars, dict(items), False)
+    params = [j * n + p for p in range(nvars - 2 * n)]
+    nv = j * n + len(params)
+    pref = None
+    for i in range(j):
+        var_map = [i * n + d for d in range(n)] + [(i + 1) % j * n + d for d in range(n)]
         link = poly.rename_vars(nv, var_map + params)
         pref = link if pref is None else pref * link
-    return GaussianForm(pref, quad, np.zeros(nv, dtype=quad.dtype), 0, scale**j)
+    return pref
 
 
 def moment(

@@ -17,6 +17,11 @@ float64 arrays and coefficients run in double precision, while numpy object
 arrays and coefficients of ``mpmath`` numbers run at the working mpmath
 precision (real quadratic forms only).  The type-specific dense operations
 are in :mod:`polygauss.numerics`.
+
+Centered moments come from a :class:`WickTable`, memoized under packed
+integer keys (one byte per variable).  Its recurrence fixes the pivot, the
+partner order and the summation, so each moment is one well-defined
+sequence of float64 or mpmath operations.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ __all__ = [
 
 DEFAULT_DEGREE_CAP = 16
 REAL_RTOL = 1e-9  # tolerated relative imaginary residue on must-be-real results
+# WickTable packs a multi-index with int.from_bytes: one byte per variable.
+FIELD_BITS = 8
+MAX_EXPONENT = (1 << FIELD_BITS) - 1
 
 logger = logging.getLogger(__name__)
 
@@ -68,7 +76,17 @@ class WickTable:
     """Memoized centered Gaussian moments for a fixed covariance.
 
     The covariance is a complex array or an object array of mpmath numbers;
-    moments come out in the same number type.
+    moments come out in the same number type.  Moments follow Isserlis'
+    recurrence on the lowest variable ``i`` with a nonzero exponent:
+
+        E[w^alpha] = sum_j cov[i, j] * beta_j * E[w^(beta - e_j)],  beta = alpha - e_i,
+
+    summed as ``total = 0; total += (cov[i, j] * beta_j) * E[...]`` over the
+    nonzero ``cov[i, j]`` in ascending ``j``.  A multi-index is packed into
+    one int key, ``FIELD_BITS`` bits per variable with variable 0 lowest, so
+    the pivot is the lowest nonzero field and each step down is one integer
+    subtraction.  An exponent above ``MAX_EXPONENT`` raises instead of
+    spilling into the next field.
     """
 
     def __init__(self, cov: np.ndarray) -> None:
@@ -76,33 +94,47 @@ class WickTable:
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError("covariance must be square")
         self.cov = cov
-        self._memo: dict[tuple[int, ...], complex] = {(0,) * cov.shape[0]: 1}
+        self._nvars = cov.shape[0]
+        self._units = [1 << (FIELD_BITS * i) for i in range(self._nvars)]
+        # Per pivot row: (bit offset of j, key of e_j, cov[i, j]) over the
+        # nonzero entries in ascending j, as Python scalars.
+        self._rows = [
+            [(FIELD_BITS * j, self._units[j], c) for j, c in enumerate(row) if c]
+            for row in cov.tolist()
+        ]
+        self._memo: dict[int, complex] = {0: 1}
 
     def moment(self, alpha: Sequence[int]) -> complex:
         """E[w^alpha] for centered Gaussian w with the stored covariance."""
-        cached = self._memo.get(alpha) if type(alpha) is tuple else None
-        if cached is not None:
-            return cached
-        alpha = tuple(int(e) for e in alpha)
+        if type(alpha) is not tuple:
+            alpha = tuple(int(e) for e in alpha)
+        if len(alpha) != self._nvars:
+            raise ValueError(f"multi-index {alpha} does not have {self._nvars} entries")
         if sum(alpha) % 2:
             return 0
-        return self._moment(alpha)
+        try:
+            key = int.from_bytes(bytes(alpha), "little")
+        except ValueError:
+            raise ValueError(
+                f"multi-index {alpha} has an exponent outside 0..{MAX_EXPONENT}"
+            ) from None
+        cached = self._memo.get(key)
+        return self._fill(key) if cached is None else cached
 
-    def _moment(self, alpha: tuple[int, ...]) -> complex:
-        cached = self._memo.get(alpha)
-        if cached is not None:
-            return cached
-        i = next(k for k, e in enumerate(alpha) if e > 0)
-        beta = list(alpha)
-        beta[i] -= 1
+    def _fill(self, key: int) -> complex:
+        memo = self._memo
+        i = ((key & -key).bit_length() - 1) // FIELD_BITS
+        beta = key - self._units[i]
         total = 0
-        row = self.cov[i]
-        for j, bj in enumerate(beta):
-            if bj > 0 and row[j]:
-                gamma = list(beta)
-                gamma[j] -= 1
-                total += row[j] * bj * self._moment(tuple(gamma))
-        self._memo[alpha] = total
+        for shift, step, c in self._rows[i]:
+            bj = (beta >> shift) & MAX_EXPONENT
+            if bj:
+                gamma = beta - step
+                value = memo.get(gamma)
+                if value is None:
+                    value = self._fill(gamma)
+                total += c * bj * value
+        memo[key] = total
         return total
 
 

@@ -156,3 +156,45 @@ def mercer_search_reference(
             if value < -1e-9 * scale:
                 return MercerCertificate(pts, coeffs, value, float(vals[0]), trial)
     return None
+
+
+class WickTableReference:
+    """Recursive Isserlis table on tuple keys, one method call per lookup.
+
+    Reference for the packed-key ``wick.WickTable``, whose moments must
+    equal these bit for bit: same pivot, same ascending ``j``, same sum.
+    """
+
+    def __init__(self, cov: np.ndarray) -> None:
+        cov = numerics.as_array(cov)
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+            raise ValueError("covariance must be square")
+        self.cov = cov
+        self._memo: dict[tuple[int, ...], complex] = {(0,) * cov.shape[0]: 1}
+
+    def moment(self, alpha: Sequence[int]) -> complex:
+        """E[w^alpha] for centered Gaussian w with the stored covariance."""
+        cached = self._memo.get(alpha) if type(alpha) is tuple else None
+        if cached is not None:
+            return cached
+        alpha = tuple(int(e) for e in alpha)
+        if sum(alpha) % 2:
+            return 0
+        return self._moment(alpha)
+
+    def _moment(self, alpha: tuple[int, ...]) -> complex:
+        cached = self._memo.get(alpha)
+        if cached is not None:
+            return cached
+        i = next(k for k, e in enumerate(alpha) if e > 0)
+        beta = list(alpha)
+        beta[i] -= 1
+        total = 0
+        row = self.cov[i]
+        for j, bj in enumerate(beta):
+            if bj > 0 and row[j]:
+                gamma = list(beta)
+                gamma[j] -= 1
+                total += row[j] * bj * self._moment(tuple(gamma))
+        self._memo[alpha] = total
+        return total

@@ -1,14 +1,18 @@
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
-from polygauss import specio, spectral
+from conftest import WickTableReference
+from polygauss import specio, spectral, wick
 from polygauss.cli import main
 from polygauss.gaussian import GaussianTriple
 from polygauss.entangle import Bipartition, entangled_fixture
 from polygauss.families import caldeira_kernel, kappa_gamma_kernel
 from polygauss.kernels import PolyGaussianKernel
+from polygauss.poly import MultiPoly
 from polygauss.pipeline import PipelineConfig, run_pipeline, verify_certificate
 from polygauss.specio import SpecError, parse_kernel_spec, serialize_kernel_spec
 
@@ -242,3 +246,61 @@ def test_fixture_caldeira_passes_odd_gate_and_pipeline():
     spec = parse_kernel_spec(serialize_kernel_spec(k))
     report = run_pipeline(spec, PipelineConfig(kmax=3, trials=30, deltas=(10.0,)))
     assert not report.not_psd  # eigenstate projections are positive operators
+
+
+def _schur_kernel(rng, n, support):
+    """PSD kernel ``q(x) conj(q(y))`` over a B = 0 Gaussian with A - C positive definite."""
+
+    def pd(scale, floor):
+        g = rng.normal(size=(n, n))
+        return scale * (g @ g.T) + floor * np.eye(n)
+
+    c = pd(0.3, 0.4)
+    a = c + pd(0.3, 0.3)
+    q = {e: complex(rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())) for e in support}
+    terms = {}
+    for (ea, ca), (eb, cb) in itertools.product(q.items(), repeat=2):
+        terms[ea + eb] = terms.get(ea + eb, 0j) + ca * cb.conjugate()
+    return PolyGaussianKernel(MultiPoly(2 * n, terms), GaussianTriple(a, np.zeros((n, n)), c))
+
+
+def test_check_output_identical_to_reference_wick_engine(tmp_path, capsys, monkeypatch):
+    # One kernel per class of the benchmark's trace-moment workload
+    # (``check --trials 0``): the report must not move by a single bit when
+    # the packed Wick table and the shared chain prefactors replace the
+    # recursive tuple-keyed table and per-call prefactor builds.  With this
+    # seed, summing the Wick recurrence in descending j changes the reports
+    # of two of the Schur kernels.
+    rng = np.random.default_rng(123)
+    cases = [
+        (caldeira_kernel(0, 1.3), None),
+        (caldeira_kernel(1, 0.8), None),
+        (caldeira_kernel(2, 1.7), None),
+        (kappa_gamma_kernel(4.5), None),
+        (_schur_kernel(rng, 1, [(0,), (1,)]), None),
+        (_schur_kernel(rng, 2, [(0, 0), (1, 0)]), None),
+        (_schur_kernel(rng, 2, [(0, 0), (1, 1)]), "4"),
+        (_schur_kernel(rng, 3, [(0, 0, 0), (1, 1, 0)]), "4"),
+        (_schur_kernel(rng, 2, [(0, 0), (2, 0), (0, 2)]), "4"),
+    ]
+    argvs = []
+    for i, (kernel, kmax) in enumerate(cases):
+        path = _write_spec(tmp_path, kernel, name=f"k{i}.json")
+        argvs.append(["check", str(path), "--trials", "0"] + (["--kmax", kmax] if kmax else []))
+
+    def reports():
+        out = []
+        for argv in argvs:
+            main(argv)
+            out.append(re.sub(r'"elapsed_s": [^,\n]*', '"elapsed_s": 0', capsys.readouterr().out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(wick, "WickTable", WickTableReference)
+        m.setattr(spectral, "_chain_prefactor", spectral._chain_prefactor.__wrapped__)
+        reference = reports()
+    spectral._chain_prefactor.cache_clear()
+    assert reports() == reference
+    docs = [json.loads(text) for text in reference]
+    assert [d["certificate_stage"] for d in docs].count(None) == len(cases) - 1
+    assert all(len(d["stages"]) == 8 for d in docs if d["certificate_stage"] is None)

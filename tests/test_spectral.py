@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -303,3 +304,73 @@ def test_family_evaluator_matches_float_sweep():
         eks_mp = fam.ek_evaluator(4, delta)(gamma)
         report = spectral.positivity_sweep(fam.kernel(gamma, delta), 4)
         assert np.max(np.abs(eks_mp - report.eks)) < 1e-10 * max(1.0, np.max(np.abs(report.eks)))
+
+
+def _chain_prefactor_reference(poly: MultiPoly, n: int, j: int) -> MultiPoly:
+    """The j renamed links multiplied in order, with no cache."""
+    params = [j * n + p for p in range(poly.nvars - 2 * n)]
+    nv = j * n + len(params)
+    pref = None
+    for i in range(j):
+        var_map = [i * n + d for d in range(n)] + [(i + 1) % j * n + d for d in range(n)]
+        link = poly.rename_vars(nv, var_map + params)
+        pref = link if pref is None else pref * link
+    return pref
+
+
+def test_chain_prefactor_cache_matches_uncached_build():
+    spectral._chain_prefactor.cache_clear()
+    kernel = random_kernel(np.random.default_rng(70), 2, terms=5, max_deg=2)
+    m2 = kernel.exponent_matrix()
+    for j in range(1, 6):
+        ref = _chain_prefactor_reference(kernel.poly, 2, j)
+        first = spectral.chain_form(kernel.poly, m2, j, kernel.norm)
+        again = spectral.chain_form(kernel.poly, 2.0 * m2, j, kernel.norm)
+        assert list(first.poly.terms.items()) == list(ref.terms.items())
+        assert again.poly is first.poly  # a hit, served with its own quadratic form
+        assert np.array_equal(again.quad, 2.0 * first.quad)
+    # A polynomial with the same terms in another order is another key: the
+    # order fixes the order of every sum in the product.
+    reordered = MultiPoly(4, dict(reversed(list(kernel.poly.terms.items()))))
+    form = spectral.chain_form(reordered, m2, 3)
+    assert list(form.poly.terms.items()) == list(
+        _chain_prefactor_reference(reordered, 2, 3).terms.items()
+    )
+
+
+def test_chain_prefactor_cache_keeps_number_types_apart():
+    spectral._chain_prefactor.cache_clear()
+    terms = {(0, 0): 1.5, (1, 1): -2.0, (2, 0): 0.25, (0, 2): 0.25}
+    m2 = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    float_form = spectral.chain_form(MultiPoly(2, terms), m2, 3)
+    assert all(type(c) is complex for c in float_form.poly.terms.values())
+    # Same values at the same precision: only the coefficient types differ.
+    mp_poly = MultiPoly(2, {e: mpmath.mpf(c) for e, c in terms.items()})
+    mp_form = spectral.chain_form(mp_poly, np.array(m2.tolist(), dtype=object), 3)
+    assert mp_form.poly is not float_form.poly
+    assert all(isinstance(c, mpmath.mpf) for c in mp_form.poly.terms.values())
+
+
+def test_chain_prefactor_cache_keys_on_precision():
+    spectral._chain_prefactor.cache_clear()
+    m2 = np.array([[2.0, -1.0], [-1.0, 2.0]], dtype=object)
+    with mpmath.workdps(100):
+        poly = MultiPoly(2, {(0, 0): mpmath.mpf(1) / 3, (1, 1): mpmath.mpf(2) / 7})
+    built = {}
+    for dps in (15, 100, 15):
+        with mpmath.workdps(dps):
+            form = spectral.chain_form(poly, m2, 4)
+            ref = _chain_prefactor_reference(poly, 1, 4)
+        assert list(form.poly.terms.items()) == list(ref.terms.items())
+        built.setdefault(dps, form.poly)
+    assert built[15].terms != built[100].terms  # the precision changes the products
+
+
+def test_chain_prefactor_cache_is_bounded():
+    spectral._chain_prefactor.cache_clear()
+    m2 = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    for c in range(2 * spectral.CHAIN_CACHE_SIZE):
+        spectral.chain_form(MultiPoly(2, {(0, 0): 1.0, (1, 1): 0.1 * (c + 1)}), m2, 2)
+    info = spectral._chain_prefactor.cache_info()
+    assert info.maxsize == spectral.CHAIN_CACHE_SIZE
+    assert info.currsize == spectral.CHAIN_CACHE_SIZE

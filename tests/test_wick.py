@@ -1,10 +1,17 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import gauss_hermite_oracle, random_kernel, random_kernel_valid_triple
+from conftest import (
+    WickTableReference,
+    gauss_hermite_oracle,
+    random_kernel,
+    random_kernel_valid_triple,
+)
 from polygauss import gaussian, wick
 from polygauss.gaussian import GaussianTriple
 from polygauss.kernels import PolyGaussianKernel
@@ -93,6 +100,76 @@ def test_wick_double_factorial_count():
     for d in range(1, 7):
         expect = math.prod(range(1, 2 * d, 2)) * 0.5**d
         assert abs(table.moment((2 * d,)) - expect) < 1e-12 * expect
+
+
+def _multi_indices(m: int, max_degree: int):
+    return [a for a in itertools.product(range(max_degree + 1), repeat=m) if sum(a) <= max_degree]
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values, and for float64 the same bits (signed zeros included)."""
+    if isinstance(a, mpmath.mpf) or isinstance(b, mpmath.mpf):
+        return a == b
+    return np.complex128(a).tobytes() == np.complex128(b).tobytes()
+
+
+def _assert_tables_agree(cov, m: int, max_degree: int = 16) -> None:
+    new, ref = wick.WickTable(cov), WickTableReference(cov)
+    for alpha in _multi_indices(m, max_degree):
+        value = new.moment(alpha)
+        assert _same_bits(value, ref.moment(alpha)), alpha
+        if sum(alpha) % 2:
+            assert value == 0
+
+
+def test_wick_table_bit_identical_dense_complex():
+    rng = np.random.default_rng(60)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    _assert_tables_agree(0.5 * np.linalg.inv(g @ g.T + 4 * np.eye(4)), 4)
+
+
+def test_wick_table_bit_identical_with_zero_covariances():
+    # Zero entries, a variable coupled to no other, and a negative zero
+    # imaginary part: the skipped pairs must be exactly the reference's.
+    cov = np.array(
+        [
+            [0.7, 0.0, 0.2 - 0.1j, 0.0],
+            [0.0, 1.3, 0.0, 0.0],
+            [0.2 - 0.1j, 0.0, 0.5, complex(0.3, -0.0)],
+            [0.0, 0.0, complex(0.3, -0.0), 0.9],
+        ]
+    )
+    _assert_tables_agree(cov, 4)
+
+
+def test_wick_table_bit_identical_mpmath():
+    with mpmath.workdps(100):
+        g = mpmath.matrix([[2, 1, 0.5], [1, 3, 0.25], [0.5, 0.25, 1.5]])
+        cov = 0.5 * np.array(mpmath.inverse(g).tolist(), dtype=object)
+        _assert_tables_agree(cov, 3)
+        assert isinstance(wick.WickTable(cov).moment((2, 2, 2)), mpmath.mpf)
+
+
+def test_wick_table_list_input():
+    cov = [[0.8, 0.3], [0.3, 0.6]]
+    new, ref = wick.WickTable(cov), WickTableReference(np.array(cov))
+    for alpha in _multi_indices(2, 16):
+        assert _same_bits(new.moment(list(alpha)), ref.moment(alpha))
+        assert _same_bits(new.moment(np.array(alpha)), ref.moment(alpha))
+
+
+def test_wick_table_exponent_beyond_the_field_raises():
+    table = wick.WickTable(np.array([[0.5, 0.1], [0.1, 0.5]]))
+    assert table.moment((0, 2)) != 0  # memoized under the key that (512, 0) would spill into
+    for alpha in [(512, 0), (256, 0), (257, 1), (0, 256), (-2, 2)]:
+        with pytest.raises(ValueError, match="exponent"):
+            table.moment(alpha)
+    with pytest.raises(ValueError, match="entries"):
+        table.moment((2,))
+    one = wick.WickTable(np.array([[0.5]]))
+    assert one.moment((wick.MAX_EXPONENT - 1,)) == WickTableReference(np.array([[0.5]])).moment(
+        (wick.MAX_EXPONENT - 1,)
+    )
 
 
 def test_degree_cap_enforced():
