@@ -15,13 +15,12 @@ Structural positivity gates:
 * the same holds when zeroing out some coordinate pairs ``x_i = y_i = 0``
   leaves a nonzero polynomial of odd degree.
 
-``odd_degree_gate`` decides both, returning the lexicographically smallest
-witness subset.
+``odd_degree_gate`` decides both exactly, for any number of pairs, and
+returns the lexicographically smallest witness subset.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
@@ -42,9 +41,6 @@ __all__ = [
 # coefficients are never pruned: their relative spread legitimately reaches
 # far below float64 resolution (1e-23 in the delta-shifted family chains).
 PRUNE_RTOL = 1e-14
-
-# Subset enumeration in the odd-degree gate is capped at 2**MAX_GATE_N work.
-MAX_GATE_N = 20
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -401,10 +397,10 @@ class MultiPoly:
 class OddGateVerdict:
     """Outcome of the odd-degree structural gate.
 
-    ``kind`` is one of ``"reject_odd"``, ``"reject_reducible_odd"``,
-    ``"pass"`` or ``"skipped"``.  A reject verdict certifies that no Gaussian
-    factor can make the polynomial kernel positive semidefinite; ``witness``
-    then holds the zeroed coordinate subset (empty for a plain odd degree).
+    ``kind`` is one of ``"reject_odd"``, ``"reject_reducible_odd"`` or
+    ``"pass"``.  A reject verdict certifies that no Gaussian factor can make
+    the polynomial kernel positive semidefinite; ``witness`` then holds the
+    zeroed coordinate subset (empty for a plain odd degree).
     """
 
     kind: str
@@ -416,13 +412,19 @@ class OddGateVerdict:
         return self.kind in ("reject_odd", "reject_reducible_odd")
 
 
-def odd_degree_gate(p: MultiPoly, max_n: int = MAX_GATE_N) -> OddGateVerdict:
+def odd_degree_gate(p: MultiPoly) -> OddGateVerdict:
     """Check for odd total degree, directly or after zeroing coordinate pairs.
 
-    Subsets of coordinates are tried in lexicographic order of their sorted
-    index tuples and the first (smallest) hit is reported.  For ``n`` above
-    ``max_n`` the subset stage is skipped explicitly rather than silently
-    passed.
+    Zeroing the pairs in S leaves an odd top degree exactly when some odd
+    term t survives S (S misses t's pair support) and no surviving term has
+    a higher degree.  Zeroing more pairs outside t's support only removes
+    competitors, so such an S exists for t iff the complement of its support
+    is one.  Sorted index tuples in lexicographic order are the preorder of
+    the subset tree, and the subtree below a prefix D with free indices F
+    holds a witness iff ``D | (F - supp t)`` is one for some odd term t.  A
+    depth-first walk that enters only such subtrees never backtracks and
+    reports the same smallest witness as enumerating all subsets, in
+    O(n^2 T^2) for T terms.
     """
     if p.is_zero():
         raise ValueError("odd-degree gate is undefined for the zero polynomial")
@@ -431,23 +433,31 @@ def odd_degree_gate(p: MultiPoly, max_n: int = MAX_GATE_N) -> OddGateVerdict:
     if deg % 2 == 1:
         return OddGateVerdict("reject_odd", witness=(), restricted_degree=deg)
     n = p.n
-    if n > max_n:
-        return OddGateVerdict("skipped")
-    indices = list(range(n))
-    subsets = sorted(
-        itertools.chain.from_iterable(
-            itertools.combinations(indices, r) for r in range(1, n + 1)
-        )
+    # (degree, bitmask of the pairs the term involves) per term.
+    terms = [(sum(e), sum(1 << i for i in range(n) if e[i] or e[n + i])) for e in p.terms]
+    odd = [m for d, m in terms if d % 2]
+
+    def top(dead: int) -> int:
+        """Top degree left after zeroing the pairs in ``dead`` (0 if none is left)."""
+        return max((d for d, m in terms if not m & dead), default=0)
+
+    def holds(dead: int, free: int) -> bool:
+        """Whether ``dead`` plus some subset of ``free`` is a witness."""
+        return any(top(dead | free & ~m) % 2 for m in odd)
+
+    full = (1 << n) - 1
+    if not holds(0, full):
+        return OddGateVerdict("pass")
+    witness: list[int] = []
+    dead = 0
+    while not (dead and top(dead) % 2):
+        start = witness[-1] + 1 if witness else 0
+        k = next(k for k in range(start, n) if holds(dead | 1 << k, full ^ ((2 << k) - 1)))
+        witness.append(k)
+        dead |= 1 << k
+    return OddGateVerdict(
+        "reject_reducible_odd", witness=tuple(witness), restricted_degree=top(dead)
     )
-    for subset in subsets:
-        dead = [i for i in subset] + [n + i for i in subset]
-        restricted = p.restrict_zero(dead)
-        rdeg = restricted.degree()
-        if rdeg is not None and rdeg % 2 == 1:
-            return OddGateVerdict(
-                "reject_reducible_odd", witness=subset, restricted_degree=rdeg
-            )
-    return OddGateVerdict("pass")
 
 
 def universal_point_check(

@@ -46,10 +46,8 @@ __all__ = [
     "delta_scan",
     "delta_shifted_normalized",
     "elementary_symmetric",
-    "elementary_symmetric_from_eigenvalues",
     "mercer_search",
     "moment",
-    "moments",
     "nystrom_oracle",
     "positivity_sweep",
     "z_root",
@@ -130,15 +128,10 @@ def _chain_prefactor(
     return pref
 
 
-def moment(
-    kernel: PolyGaussianKernel,
-    j: int,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-    max_order: int = MAX_MOMENT_ORDER,
-) -> float:
+def moment(kernel: PolyGaussianKernel, j: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> float:
     """Trace power ``M_j = Tr(K^j)``, a real number."""
-    if j > max_order:
-        raise ValueError(f"moment order {j} exceeds configured maximum {max_order}")
+    if j > MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order {j} exceeds the maximum {MAX_MOMENT_ORDER}")
     deg = kernel.poly.degree() or 0
     if j * deg > degree_cap:
         raise ValueError(
@@ -146,11 +139,6 @@ def moment(
         )
     form = chain_form(kernel.poly, kernel.exponent_matrix(), j, kernel.norm)
     return form.integrate(range(form.nvars), degree_cap=degree_cap).real_scalar()
-
-
-def moments(kernel: PolyGaussianKernel, kmax: int, **kwargs) -> np.ndarray:
-    """The vector (M_1, ..., M_kmax)."""
-    return np.array([moment(kernel, j, **kwargs) for j in range(1, kmax + 1)])
 
 
 # ------------------------------------------------- elementary symmetric e_k
@@ -172,18 +160,6 @@ def elementary_symmetric(moment_values: Sequence[float]) -> np.ndarray:
             acc += (-1) ** (j - 1) * e[k - j] * m[j - 1]
         e.append(acc / k)
     return np.array(e[1:])
-
-
-def elementary_symmetric_from_eigenvalues(
-    eigenvalues: Sequence[float], kmax: int
-) -> np.ndarray:
-    """Direct (e_1, ..., e_kmax) of a finite eigenvalue list."""
-    e = np.zeros(kmax + 1)
-    e[0] = 1.0
-    for lam in eigenvalues:
-        for k in range(kmax, 0, -1):
-            e[k] += lam * e[k - 1]
-    return e[1:]
 
 
 @dataclass(frozen=True)
@@ -212,16 +188,11 @@ class SpectralReport:
         return f"consistent_up_to({self.kmax})"
 
 
-def positivity_sweep(
-    kernel: PolyGaussianKernel,
-    kmax: int,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-    max_order: int = MAX_MOMENT_ORDER,
-) -> SpectralReport:
+def positivity_sweep(kernel: PolyGaussianKernel, kmax: int) -> SpectralReport:
     """Compute e_1..e_kmax and certify non-positivity at the first negative one."""
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    m = moments(kernel, kmax, degree_cap=degree_cap, max_order=max_order)
+    m = np.array([moment(kernel, j) for j in range(1, kmax + 1)])
     eks = elementary_symmetric(m)
     first_negative = None
     tol = 0.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional, Sequence
 
@@ -124,6 +125,46 @@ def elementary_symmetric_det(moment_values: Sequence[float]) -> np.ndarray:
                 mat[i, i + 1] = i + 1
         out[k - 1] = np.linalg.det(mat) / math.factorial(k)
     return out
+
+
+def elementary_symmetric_from_eigenvalues(
+    eigenvalues: Sequence[float], kmax: int
+) -> np.ndarray:
+    """Direct (e_1, ..., e_kmax) of a finite eigenvalue list."""
+    e = np.zeros(kmax + 1)
+    e[0] = 1.0
+    for lam in eigenvalues:
+        for k in range(kmax, 0, -1):
+            e[k] += lam * e[k - 1]
+    return e[1:]
+
+
+def brute_force_gate(p: MultiPoly) -> tuple[str, Optional[tuple[int, ...]], Optional[int]]:
+    """The odd-degree gate by enumerating every zeroed coordinate subset.
+
+    Returns ``(kind, witness, restricted_degree)`` as ``odd_degree_gate``
+    reports them: subsets are tried in lexicographic order of their sorted
+    index tuples and the first whose restriction has odd degree wins.
+    """
+    deg = p.degree()
+    if deg % 2 == 1:
+        return "reject_odd", (), deg
+    n = p.n
+    subsets = sorted(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(n), r) for r in range(1, n + 1)
+        )
+    )
+    for subset in subsets:
+        kept = {}
+        for exps, coeff in p.terms.items():
+            if all(exps[i] == 0 and exps[n + i] == 0 for i in subset):
+                kept[exps] = coeff
+        if kept:
+            rdeg = max(sum(e) for e in kept)
+            if rdeg % 2 == 1:
+                return "reject_reducible_odd", subset, rdeg
+    return "pass", None, None
 
 
 def mercer_search_reference(

@@ -11,7 +11,12 @@ import time
 import numpy as np
 import scipy.integrate
 
-from conftest import elementary_symmetric_det, gauss_hermite_oracle, random_kernel
+from conftest import (
+    elementary_symmetric_det,
+    elementary_symmetric_from_eigenvalues,
+    gauss_hermite_oracle,
+    random_kernel,
+)
 from polygauss import entangle, gaussian, spectral, wick
 from polygauss.cli import main
 from polygauss.entangle import Bipartition, entangled_fixture
@@ -213,7 +218,7 @@ def test_criterion_07_spectral_cross_validation():
     for kernel in (kappa_gamma_kernel(1.0), kappa_gamma_kernel(4.0), caldeira_kernel(1, 1.0)):
         report = spectral.positivity_sweep(kernel, 4)
         oracle = spectral.nystrom_oracle(kernel, grid_points=260, box_halfwidth=7.0)
-        ek_oracle = spectral.elementary_symmetric_from_eigenvalues(oracle.eigenvalues, 4)
+        ek_oracle = elementary_symmetric_from_eigenvalues(oracle.eigenvalues, 4)
         worst_ek = max(worst_ek, float(np.max(np.abs(ek_oracle - report.eks))))
     ok = worst_det < 1e-10 and worst_ek < 1e-3
     _report(7, ok, f"newton vs determinant {worst_det:.2e}; engine vs grid e_k {worst_ek:.2e}")

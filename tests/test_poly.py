@@ -1,11 +1,11 @@
-import itertools
-
 import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_self_adjoint_poly
+from conftest import brute_force_gate, random_self_adjoint_poly
+from polygauss.pipeline import run_pipeline, verify_certificate
 from polygauss.poly import MultiPoly, odd_degree_gate, universal_point_check
+from polygauss.specio import parse_kernel_spec
 
 
 def test_evaluate_examples():
@@ -91,34 +91,66 @@ def test_odd_degree_gate_examples():
     assert v.kind == "reject_reducible_odd" and v.witness == (0,)
 
 
+def _unit(n: int, i: int, e: int = 1) -> tuple[int, ...]:
+    return tuple(e if d == i else 0 for d in range(n))
+
+
+def _reducible_odd_terms(n: int) -> dict:
+    """``1 + x1 + y1 + xn yn + xn^2 yn^2``: odd once pair n is zeroed but not pair 1."""
+    zero = (0,) * n
+    return {
+        zero + zero: 1.0,
+        _unit(n, 0) + zero: 0.7,
+        zero + _unit(n, 0): 0.7,
+        _unit(n, n - 1) + _unit(n, n - 1): 1.1,
+        _unit(n, n - 1, 2) + _unit(n, n - 1, 2): 1.3,
+    }
+
+
 def test_odd_degree_gate_zero_and_cap():
+    """The gate has no size cap: it decides n = 24 and n = 40 like n = 3."""
     with pytest.raises(ValueError):
         odd_degree_gate(MultiPoly.zero(2))
     wide = MultiPoly(6, {(2, 0, 0, 0, 0, 0): 1.0, (0, 0, 0, 2, 0, 0): 1.0})
-    assert odd_degree_gate(wide, max_n=2).kind == "skipped"
+    assert odd_degree_gate(wide).kind == "pass"
+    for n in (24, 40):
+        v = odd_degree_gate(MultiPoly(2 * n, _reducible_odd_terms(n)))
+        assert v.kind == "reject_reducible_odd"
+        assert v.witness == tuple(range(1, n)) and v.restricted_degree == 1
+    # Every odd term x_i + y_i is outranked by x_i^2 y_i^2 of the same pair.
+    n = 40
+    zero = (0,) * n
+    terms = {
+        zero + zero: 1.0,
+        _unit(n, 0) + _unit(n, n - 1): 0.5,
+        _unit(n, n - 1) + _unit(n, 0): 0.5,
+    }
+    for i in range(n):
+        terms[_unit(n, i) + zero] = terms[zero + _unit(n, i)] = 0.3
+        terms[_unit(n, i, 2) + _unit(n, i, 2)] = 1.0
+    assert odd_degree_gate(MultiPoly(2 * n, terms)).kind == "pass"
 
 
-def _brute_force_gate(p: MultiPoly):
-    """Independent re-derivation of the gate semantics by subset enumeration."""
-    deg = p.degree()
-    if deg % 2 == 1:
-        return "reject_odd", ()
-    n = p.n
-    subsets = sorted(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(n), r) for r in range(1, n + 1)
-        )
-    )
-    for subset in subsets:
-        kept = {}
-        for exps, coeff in p.terms.items():
-            if all(exps[i] == 0 and exps[n + i] == 0 for i in subset):
-                kept[exps] = coeff
-        if kept:
-            rdeg = max(sum(e) for e in kept)
-            if rdeg % 2 == 1:
-                return "reject_reducible_odd", subset
-    return "pass", None
+def test_pipeline_certifies_reducible_odd_kernel_at_large_n():
+    n = 24
+    doc = {
+        "n": n,
+        "a": np.eye(n).ravel().tolist(),
+        "b": [0.0] * (n * n),
+        "c": (0.3 * np.eye(n)).ravel().tolist(),
+        "poly": [
+            {"exponents": list(e), "coeff": [c, 0.0]} for e, c in _reducible_odd_terms(n).items()
+        ],
+    }
+    spec = parse_kernel_spec(doc)
+    report = run_pipeline(spec)
+    assert report.certificate_stage == "odd_degree_gate"
+    assert report.certificate == {
+        "kind": "odd_degree",
+        "witness_subset": list(range(2, n + 1)),
+        "restricted_degree": 1,
+    }
+    assert verify_certificate(spec, report.certificate)
 
 
 def test_odd_degree_gate_matches_brute_force_corpus():
@@ -137,12 +169,33 @@ def test_odd_degree_gate_matches_brute_force_corpus():
         if p.is_zero():
             continue
         checked += 1
-        kind, witness = _brute_force_gate(p)
+        kind, witness, _ = brute_force_gate(p)
         verdict = odd_degree_gate(p)
         assert verdict.kind == kind
         if kind == "reject_reducible_odd":
             assert verdict.witness == witness
     assert checked == 500
+
+
+def test_odd_degree_gate_matches_brute_force_on_sparse_supports():
+    """Kind, witness and restricted degree agree with enumeration up to n = 7."""
+    rng = np.random.default_rng(18)
+    kinds = {"reject_odd": 0, "reject_reducible_odd": 0, "pass": 0}
+    for _ in range(5000):
+        n = int(rng.integers(1, 8))
+        terms = {}
+        for _ in range(int(rng.integers(1, 12))):
+            exps = [0] * (2 * n)
+            for i in rng.choice(n, size=min(int(rng.integers(0, 4)), n), replace=False):
+                exps[i], exps[n + i] = (int(v) for v in rng.integers(0, 3, size=2))
+                if exps[i] == exps[n + i] == 0:
+                    exps[i] = 1
+            terms[tuple(exps)] = complex(rng.normal(), rng.normal())
+        p = MultiPoly(2 * n, terms)
+        v = odd_degree_gate(p)
+        assert (v.kind, v.witness, v.restricted_degree) == brute_force_gate(p)
+        kinds[v.kind] += 1
+    assert kinds["reject_reducible_odd"] >= 1000 and kinds["pass"] >= 1000
 
 
 def test_universal_point_check_symmetric_power_is_nonnegative():

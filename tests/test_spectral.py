@@ -7,6 +7,7 @@ import scipy.integrate
 
 from conftest import (
     elementary_symmetric_det,
+    elementary_symmetric_from_eigenvalues,
     mercer_search_reference,
     random_kernel_valid_triple,
     random_kernel,
@@ -97,7 +98,7 @@ def test_positivity_sweep_pure_gaussian_all_positive():
     assert np.all(report.eks > 0.0)
     # Oracle: the known geometric eigenvalue structure from the grid solver.
     oracle = spectral.nystrom_oracle(k, grid_points=240, box_halfwidth=6.0)
-    ek_oracle = spectral.elementary_symmetric_from_eigenvalues(oracle.eigenvalues, 5)
+    ek_oracle = elementary_symmetric_from_eigenvalues(oracle.eigenvalues, 5)
     assert np.max(np.abs(ek_oracle - report.eks)) < 1e-4
 
 
@@ -274,7 +275,7 @@ def test_nystrom_ek_cross_validation():
     k = kappa_gamma_kernel(1.0)
     report = spectral.positivity_sweep(k, 4)
     oracle = spectral.nystrom_oracle(k, grid_points=260, box_halfwidth=6.5)
-    ek_oracle = spectral.elementary_symmetric_from_eigenvalues(oracle.eigenvalues, 4)
+    ek_oracle = elementary_symmetric_from_eigenvalues(oracle.eigenvalues, 4)
     assert np.max(np.abs(ek_oracle - report.eks)) < 1e-3
 
 
