@@ -21,7 +21,7 @@ from .gaussian import (
     symplectic_spectrum,
 )
 from .kernels import PolyGaussianKernel
-from .poly import MultiPoly, odd_degree_gate, universal_point_check
+from .poly import MultiPoly, odd_degree_gate
 from .entangle import Bipartition, gaussian_separability, npt_gate, partial_transpose
 from .spectral import (
     GammaFamily,
@@ -65,7 +65,6 @@ __all__ = [
     "preorder_leq",
     "sufficient_leq",
     "symplectic_spectrum",
-    "universal_point_check",
     "wigner_transform",
     "z_root",
 ]

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import spectral
 from .entangle import npt_gate
-from .gaussian import equiv, gaussian_positive
+from .gaussian import equiv, gaussian_positive, shifted_triple
 from .poly import MultiPoly, odd_degree_gate
 from .specio import ParsedSpec, jsonable
 
@@ -247,6 +247,8 @@ def verify_certificate(spec: ParsedSpec, certificate: dict) -> bool:
     if kind == "odd_degree":
         subset = [int(i) - 1 for i in certificate["witness_subset"]]
         n = spec.poly.n
+        if len(set(subset)) != len(subset) or not all(0 <= i < n for i in subset):
+            return False  # witness pairs are distinct and 1-based
         dead = subset + [n + i for i in subset]
         restricted = spec.poly.restrict_zero(dead)
         deg = restricted.degree()
@@ -262,10 +264,27 @@ def verify_certificate(spec: ParsedSpec, certificate: dict) -> bool:
         value = spectral.verify_mercer_certificate(spec.kernel(), pts, coeffs)
         return value < 0.0
     if kind == "ek_sweep":
-        delta = float(certificate["delta"])
-        kernel = spec.kernel()
-        if delta:
-            kernel = spectral.delta_shifted_normalized(kernel, delta)
-        report = spectral.positivity_sweep(kernel, int(certificate["k"]))
-        return report.certified_not_psd and report.first_negative == int(certificate["k"])
+        return _recheck_ek(spec.kernel(), float(certificate["delta"]), int(certificate["k"]))
     raise ValueError(f"unknown certificate kind {kind!r}")
+
+
+def _recheck_ek(kernel, delta: float, k: int) -> bool:
+    """Re-derive an e_k certificate from the full, unfolded chain integrands.
+
+    The producing sweep integrates orbit-folded chains (:func:`spectral.moment`);
+    this re-check integrates every term of :func:`spectral.chain_form`, then
+    applies the same Newton recursion and threshold.
+    """
+
+    def full_moment(kern, j: int) -> float:
+        form = spectral.chain_form(kern.poly, kern.exponent_matrix(), j, kern.norm)
+        return form.integrate(range(form.nvars)).real_scalar()
+
+    if delta:
+        kernel = kernel.with_triple(shifted_triple(kernel.triple, delta)).with_norm(1.0)
+        tr = full_moment(kernel, 1)
+        if tr <= 0.0:
+            return False
+        kernel = kernel.with_norm(1.0 / tr)
+    report = spectral.sweep_report([full_moment(kernel, j) for j in range(1, k + 1)])
+    return report.first_negative == k

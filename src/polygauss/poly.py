@@ -33,7 +33,6 @@ __all__ = [
     "MultiPoly",
     "OddGateVerdict",
     "odd_degree_gate",
-    "universal_point_check",
 ]
 
 # Float64 coefficients below PRUNE_RTOL * max|coeff| are dropped after
@@ -458,33 +457,3 @@ def odd_degree_gate(p: MultiPoly) -> OddGateVerdict:
     return OddGateVerdict(
         "reject_reducible_odd", witness=tuple(witness), restricted_degree=top(dead)
     )
-
-
-def universal_point_check(
-    p: MultiPoly,
-    points: Sequence[Sequence[float]],
-    coeffs: Sequence[complex],
-    imag_rtol: float = 1e-10,
-) -> float:
-    """Evaluate the finite positivity form ``sum_{ij} c_i c*_j P(x_i, x_j)``.
-
-    For a self-adjoint polynomial the value is real; a negative result is a
-    certified counterexample to the polynomial defining a positive operator
-    over every positive Gaussian weight.
-    """
-    if not p.is_self_adjoint(tol=1e-12):
-        raise ValueError("universal point check requires a self-adjoint polynomial")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cs = np.asarray(coeffs, dtype=complex)
-    if pts.shape[0] != cs.shape[0] or pts.shape[0] < 1:
-        raise ValueError("need matching, nonempty points and coefficients")
-    if pts.shape[1] != p.n:
-        raise ValueError(f"points must have {p.n} coordinates")
-    grid = p.eval_grid(pts)
-    value = complex(np.einsum("i,j,ij->", cs, cs.conjugate(), grid))
-    scale = float(np.max(np.abs(grid)) * np.sum(np.abs(cs)) ** 2) or 1.0
-    if abs(value.imag) > imag_rtol * scale:
-        raise ArithmeticError(
-            f"positivity form has imaginary residue {value.imag:.3e} (scale {scale:.3e})"
-        )
-    return value.real

@@ -2,11 +2,21 @@
 
 The j-th trace power ``M_j = Tr(K^j)`` of a kernel operator is a cyclic
 chain integral over ``j*n`` variables and evaluates in closed form through
-the Wick engine.  Newton's identities turn the moments into the elementary
-symmetric values ``e_k`` of the eigenvalue sequence; a negative ``e_k``
-certifies that the operator is not positive semidefinite, while all-
-nonnegative values up to ``kmax`` prove nothing (the report wording keeps
-that asymmetry explicit).
+the Wick engine.  The chain's Gaussian is block-circulant and its
+polynomial prefactor is invariant under rotating the j blocks, so the
+Wick moments of one rotation orbit are equal: the prefactor is folded onto
+one representative per orbit before it is integrated,
+
+    sum_alpha c_alpha E[w^alpha] = sum_orbits (sum_{alpha in O} c_alpha) E[w^rep(O)],
+
+exactly for any n, complex B and either number type (only the rounding of
+the summed coefficients differs).  :func:`chain_form` keeps the full,
+unfolded integrand as an independent route for re-checking certificates.
+
+Newton's identities turn the moments into the elementary symmetric values
+``e_k`` of the eigenvalue sequence; a negative ``e_k`` certifies that the
+operator is not positive semidefinite, while all-nonnegative values up to
+``kmax`` prove nothing (the report wording keeps that asymmetry explicit).
 
 The sweep can be sharpened by re-running it on equivalent Gaussian weights
 ``(A + delta I, B, C + delta I)``: non-positivity of any equivalent kernel
@@ -50,6 +60,7 @@ __all__ = [
     "moment",
     "nystrom_oracle",
     "positivity_sweep",
+    "sweep_report",
     "z_root",
 ]
 
@@ -79,43 +90,63 @@ def chain_form(
     consecutive blocks and the last copy closes the cycle.  Variables of
     ``poly`` beyond its first 2n are parameters shared by every link; they
     trail the chain variables.  The number type of ``M`` and of the
-    coefficients carries through.  The polynomial prefactor depends only on
-    ``(poly, n, j)`` and comes from a small cache, so the stages that share a
-    polynomial (the e_k sweep, the delta-shifted sweeps and their trace
-    normalizations) build it once.
+    coefficients carries through.  The polynomial prefactor is the full
+    j-link product; it depends only on ``(poly, n, j)`` and comes from a
+    small cache.  :func:`moment` and the family evaluator integrate the same
+    chain with the prefactor folded over its cyclic orbits instead
+    (:func:`_chain_orbits`); this unfolded form is the independent route that
+    :func:`polygauss.pipeline.verify_certificate` re-checks e_k with.
+    """
+    return _chain_integrand(poly, exponent_matrix, j, scale, _chain_prefactor)
+
+
+def _chain_integrand(poly, m2, j, scale, prefactor) -> GaussianForm:
+    """The chain integrand of :func:`chain_form`, its prefactor built by ``prefactor``.
+
+    ``prefactor`` is :func:`_chain_prefactor` (the full j-link product) or
+    :func:`_chain_orbits` (its orbit fold, whose integral over all chain
+    variables is the same).
     """
     if j < 1:
         raise ValueError("chain order must be at least 1")
-    m2 = exponent_matrix
     n = m2.shape[0] // 2
-    nv = j * n + poly.nvars - 2 * n
-    quad = np.zeros((nv, nv), dtype=m2.dtype)
-    for i in range(j):
-        var_map = [i * n + d for d in range(n)] + [(i + 1) % j * n + d for d in range(n)]
-        if j == 1:  # x and y collapse onto one block
-            quad[:n, :n] = (m2[:n, :n] + m2[n:, :n]) + (m2[:n, n:] + m2[n:, n:])
-        else:
-            quad[np.ix_(var_map, var_map)] += m2
     terms = poly.terms
-    pref = _chain_prefactor(
+    pref = prefactor(
         poly.nvars, tuple(terms.items()), tuple(map(type, terms.values())), n, j, mpmath.mp.prec
     )
-    return GaussianForm(pref, quad, np.zeros(nv, dtype=quad.dtype), 0, scale**j)
+    quad = _chain_quad(m2, j, pref.nvars)
+    return GaussianForm(pref, quad, np.zeros(pref.nvars, dtype=quad.dtype), 0, scale**j)
 
 
-@functools.lru_cache(maxsize=CHAIN_CACHE_SIZE)
-def _chain_prefactor(
-    nvars: int, items: tuple, types: tuple, n: int, j: int, prec: int
-) -> MultiPoly:
+def _chain_quad(m2: np.ndarray, j: int, nv: int) -> np.ndarray:
+    """The block-circulant quadratic form of a j-link chain over ``nv`` variables.
+
+    Link ``i`` adds ``m2`` on blocks ``(i, i + 1 mod j)``, so rotating the
+    blocks maps the form onto itself.  Trailing parameter variables get no
+    quadratic terms.
+    """
+    n = m2.shape[0] // 2
+    quad = np.zeros((nv, nv), dtype=m2.dtype)
+    if j == 1:  # x and y collapse onto one block
+        quad[:n, :n] = (m2[:n, :n] + m2[n:, :n]) + (m2[:n, n:] + m2[n:, n:])
+        return quad
+    for i in range(j):
+        var_map = [i * n + d for d in range(n)] + [(i + 1) % j * n + d for d in range(n)]
+        quad[np.ix_(var_map, var_map)] += m2
+    return quad
+
+
+def _chain_links(nvars: int, items: tuple, types: tuple, n: int, j: int, prec: int) -> MultiPoly:
     """Product of the j renamed links of the polynomial with terms ``items``.
 
-    The key is the polynomial's content: its terms in their order (which
-    fixes the order of every sum), the coefficient types (``types`` only
-    keys the cache: an mpmath coefficient equals and hashes like the complex
-    of the same value) and the mpmath precision its products round to.
-    Coefficients compare by value, so two polynomials whose coefficients
-    differ only in the sign of a zero real or imaginary part share an entry;
-    their products differ at most in the signs of zero parts.
+    The arguments are the key of the caches built on it: the polynomial's
+    terms in their order (which fixes the order of every sum), the
+    coefficient types (``types`` only keys a cache: an mpmath coefficient
+    equals and hashes like the complex of the same value) and the mpmath
+    precision its products round to.  Coefficients compare by value, so two
+    polynomials whose coefficients differ only in the sign of a zero real or
+    imaginary part share an entry; their products differ at most in the
+    signs of zero parts.
     """
     poly = MultiPoly._from_terms(nvars, dict(items), False)
     params = [j * n + p for p in range(nvars - 2 * n)]
@@ -128,8 +159,43 @@ def _chain_prefactor(
     return pref
 
 
+_chain_prefactor = functools.lru_cache(maxsize=CHAIN_CACHE_SIZE)(_chain_links)
+
+
+@functools.lru_cache(maxsize=CHAIN_CACHE_SIZE)
+def _chain_orbits(nvars: int, items: tuple, types: tuple, n: int, j: int, prec: int) -> MultiPoly:
+    """The j-link product with each cyclic orbit folded onto one term.
+
+    Rotating the chain by whole blocks (n variables at a time) maps both the
+    prefactor and the block-circulant Gaussian onto themselves, so
+    ``E[w^alpha] = E[w^rot(alpha)]`` and every orbit integrates as one term:
+    its representative, the lexicographically smallest rotation of the chain
+    exponents (trailing parameter exponents ride along), carrying the sum of
+    the orbit's coefficients in product order.  The sums are not pruned.
+    The key is that of :func:`_chain_links`; the full product is not cached.
+    """
+    full = _chain_links(nvars, items, types, n, j, prec)
+    if j == 1:
+        return full
+    width = j * n
+    folded: dict[tuple[int, ...], complex] = {}
+    for exps, coeff in full.terms.items():
+        chain = exps[:width]
+        key = min(chain[s:] + chain[:s] for s in range(0, width, n)) + exps[width:]
+        prev = folded.get(key)
+        folded[key] = coeff if prev is None else prev + coeff
+    return MultiPoly._from_terms(full.nvars, folded, False)
+
+
 def moment(kernel: PolyGaussianKernel, j: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> float:
-    """Trace power ``M_j = Tr(K^j)``, a real number."""
+    """Trace power ``M_j = Tr(K^j)``, a real number.
+
+    The chain integrand is integrated over its cyclic orbits: the trace is
+    invariant under rotating the j integration points, so each orbit of the
+    j-link prefactor contributes its summed coefficient times one Wick
+    moment (:func:`_chain_orbits`).  The value equals the integral of the
+    full :func:`chain_form` up to rounding.
+    """
     if j > MAX_MOMENT_ORDER:
         raise ValueError(f"moment order {j} exceeds the maximum {MAX_MOMENT_ORDER}")
     deg = kernel.poly.degree() or 0
@@ -137,7 +203,9 @@ def moment(kernel: PolyGaussianKernel, j: int, degree_cap: int = DEFAULT_DEGREE_
         raise ValueError(
             f"chain prefactor degree {j * deg} exceeds the degree cap {degree_cap}"
         )
-    form = chain_form(kernel.poly, kernel.exponent_matrix(), j, kernel.norm)
+    form = _chain_integrand(
+        kernel.poly, kernel.exponent_matrix(), j, kernel.norm, _chain_orbits
+    )
     return form.integrate(range(form.nvars), degree_cap=degree_cap).real_scalar()
 
 
@@ -192,16 +260,25 @@ def positivity_sweep(kernel: PolyGaussianKernel, kmax: int) -> SpectralReport:
     """Compute e_1..e_kmax and certify non-positivity at the first negative one."""
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    m = np.array([moment(kernel, j) for j in range(1, kmax + 1)])
+    return sweep_report([moment(kernel, j) for j in range(1, kmax + 1)])
+
+
+def sweep_report(moment_values: Sequence[float]) -> SpectralReport:
+    """Newton's identities and the certificate threshold on ``(M_1, ..., M_kmax)``.
+
+    ``e_k`` certifies when it falls below ``-EK_TOL_BASE * max(1, |e_1|)^k``;
+    the sweep stops at the first such k.
+    """
+    m = np.array(moment_values)
     eks = elementary_symmetric(m)
     first_negative = None
     tol = 0.0
-    for k in range(1, kmax + 1):
+    for k in range(1, len(m) + 1):
         tol = EK_TOL_BASE * max(1.0, abs(eks[0])) ** k
         if eks[k - 1] < -tol:
             first_negative = k
             break
-    return SpectralReport(kmax, m, eks, first_negative, tol)
+    return SpectralReport(len(m), m, eks, first_negative, tol)
 
 
 def delta_shifted_normalized(kernel: PolyGaussianKernel, delta: float) -> PolyGaussianKernel:
@@ -287,7 +364,8 @@ class GammaFamily:
             # gamma (the chains carry no linear exponent terms, so const = 0).
             traces = []
             for j in range(1, kmax + 1):
-                form = chain_form(poly, exponent_matrix, j).integrate(range(j * n))
+                chain = _chain_integrand(poly, exponent_matrix, j, 1.0, _chain_orbits)
+                form = chain.integrate(range(j * n))
                 traces.append(form.poly * form.scale)
 
         def eks_at(gamma: float) -> np.ndarray:

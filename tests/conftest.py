@@ -139,6 +139,36 @@ def elementary_symmetric_from_eigenvalues(
     return e[1:]
 
 
+def universal_point_check(
+    p: MultiPoly,
+    points: Sequence[Sequence[float]],
+    coeffs: Sequence[complex],
+    imag_rtol: float = 1e-10,
+) -> float:
+    """Evaluate the finite positivity form ``sum_{ij} c_i c*_j P(x_i, x_j)``.
+
+    For a self-adjoint polynomial the value is real; a negative result is a
+    certified counterexample to the polynomial defining a positive operator
+    over every positive Gaussian weight.
+    """
+    if not p.is_self_adjoint(tol=1e-12):
+        raise ValueError("universal point check requires a self-adjoint polynomial")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    cs = np.asarray(coeffs, dtype=complex)
+    if pts.shape[0] != cs.shape[0] or pts.shape[0] < 1:
+        raise ValueError("need matching, nonempty points and coefficients")
+    if pts.shape[1] != p.n:
+        raise ValueError(f"points must have {p.n} coordinates")
+    grid = p.eval_grid(pts)
+    value = complex(np.einsum("i,j,ij->", cs, cs.conjugate(), grid))
+    scale = float(np.max(np.abs(grid)) * np.sum(np.abs(cs)) ** 2) or 1.0
+    if abs(value.imag) > imag_rtol * scale:
+        raise ArithmeticError(
+            f"positivity form has imaginary residue {value.imag:.3e} (scale {scale:.3e})"
+        )
+    return value.real
+
+
 def brute_force_gate(p: MultiPoly) -> tuple[str, Optional[tuple[int, ...]], Optional[int]]:
     """The odd-degree gate by enumerating every zeroed coordinate subset.
 

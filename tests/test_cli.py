@@ -304,3 +304,26 @@ def test_check_output_identical_to_reference_wick_engine(tmp_path, capsys, monke
     docs = [json.loads(text) for text in reference]
     assert [d["certificate_stage"] for d in docs].count(None) == len(cases) - 1
     assert all(len(d["stages"]) == 8 for d in docs if d["certificate_stage"] is None)
+
+
+def test_ek_certificate_reverifies_without_the_orbit_fold(monkeypatch):
+    # The producing sweep integrates orbit-folded chains; verify_certificate
+    # must reach the same verdict from the full chain integrands alone.
+    spec = parse_kernel_spec(serialize_kernel_spec(kappa_gamma_kernel(4.5)))
+    report = run_pipeline(spec, PipelineConfig(trials=0))
+    assert report.certificate_stage == "ek_sweep"
+    cert = json.loads(json.dumps(report.to_dict()))["certificate"]
+    shifted_spec = parse_kernel_spec(serialize_kernel_spec(kappa_gamma_kernel(5.0)))
+    shifted = run_pipeline(shifted_spec, PipelineConfig(kmax=3, trials=0, deltas=(50.0,)))
+    assert shifted.certificate_stage == "delta_sweep(delta=50)"
+
+    def unavailable(*args):
+        raise AssertionError("verify_certificate used the orbit-folded prefactor")
+
+    monkeypatch.setattr(spectral, "_chain_orbits", unavailable)
+    assert verify_certificate(spec, cert)
+    assert verify_certificate(shifted_spec, shifted.certificate)
+    for k in range(1, 8):
+        if k != cert["k"]:
+            assert not verify_certificate(spec, {**cert, "k": k}), k
+    assert not verify_certificate(shifted_spec, {**shifted.certificate, "k": 2})

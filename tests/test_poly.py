@@ -2,9 +2,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import brute_force_gate, random_self_adjoint_poly
+from conftest import brute_force_gate, random_self_adjoint_poly, universal_point_check
 from polygauss.pipeline import run_pipeline, verify_certificate
-from polygauss.poly import MultiPoly, odd_degree_gate, universal_point_check
+from polygauss.poly import MultiPoly, odd_degree_gate
 from polygauss.specio import parse_kernel_spec
 
 
@@ -272,3 +272,27 @@ def test_rename_vars_collapses_pairs():
     p = MultiPoly(2, {(2, 1): 3.0})  # x^2 y
     q = p.rename_vars(1, [0, 0])  # x = y = u
     assert q.terms == {(3,): 3.0 + 0j}
+
+
+def test_odd_degree_certificate_rejects_out_of_range_and_repeated_pairs():
+    # The reducible-odd shape ``1 + c1 (x1 + y1) + c2 x4 y4 + c3 x4^2 y4^2``:
+    # zeroing pair 4 but not pair 1 leaves degree 1.
+    n = 4
+    rng = np.random.default_rng(83)
+    c1, c2, c3 = rng.uniform(0.5, 1.5, size=3)
+    terms = {(0,) * 8: 1.0, (1, 0, 0, 0, 0, 0, 0, 0): c1, (0, 0, 0, 0, 1, 0, 0, 0): c1,
+             (0, 0, 0, 1, 0, 0, 0, 1): c2, (0, 0, 0, 2, 0, 0, 0, 2): c3}
+    doc = {
+        "n": n,
+        "a": np.eye(n).ravel().tolist(),
+        "b": [0.0] * (n * n),
+        "c": (0.3 * np.eye(n)).ravel().tolist(),
+        "poly": [{"exponents": list(e), "coeff": [float(c), 0.0]} for e, c in terms.items()],
+    }
+    spec = parse_kernel_spec(doc)
+    report = run_pipeline(spec)
+    assert report.certificate["witness_subset"] == [2, 3, 4]
+    assert verify_certificate(spec, report.certificate)
+    for witness in ([0], [0, 2, 3], [n + 1], [2, 4, 4], [-3]):
+        assert not verify_certificate(spec, {**report.certificate, "witness_subset": witness})
+    assert verify_certificate(spec, {**report.certificate, "witness_subset": [4]})

@@ -14,7 +14,12 @@ from conftest import (
     random_self_adjoint_poly,
 )
 from polygauss import spectral
-from polygauss.families import kappa_gamma_family, kappa_gamma_kernel, kappa_gamma_norm
+from polygauss.families import (
+    caldeira_kernel,
+    kappa_gamma_family,
+    kappa_gamma_kernel,
+    kappa_gamma_norm,
+)
 from polygauss.gaussian import GaussianTriple, eval_gaussian_grid
 from polygauss.kernels import PolyGaussianKernel
 from polygauss.numerics import BracketError
@@ -375,3 +380,115 @@ def test_chain_prefactor_cache_is_bounded():
     info = spectral._chain_prefactor.cache_info()
     assert info.maxsize == spectral.CHAIN_CACHE_SIZE
     assert info.currsize == spectral.CHAIN_CACHE_SIZE
+
+
+def _full_chain_moment(kernel: PolyGaussianKernel, j: int) -> float:
+    form = spectral.chain_form(kernel.poly, kernel.exponent_matrix(), j, kernel.norm)
+    return form.integrate(range(form.nvars)).real_scalar()
+
+
+def _schur_degree4_kernel(rng: np.random.Generator, n: int) -> PolyGaussianKernel:
+    """``q(x) conj(q(y))`` with q quadratic, over a B = 0 Gaussian."""
+    q = MultiPoly(n, {
+        tuple(int(e) for e in rng.multinomial(2, [1.0 / n] * n)): complex(*rng.normal(size=2))
+        for _ in range(3)
+    })
+    q = q + MultiPoly.constant(n, 0.7)
+    left = q.rename_vars(2 * n, range(n))
+    right = q.conjugate().rename_vars(2 * n, range(n, 2 * n))
+    return PolyGaussianKernel(left * right, random_kernel_valid_triple(rng, n, b_scale=0.0))
+
+
+def test_folded_moment_matches_full_chain_integral():
+    rng = np.random.default_rng(81)
+    kernels = [caldeira_kernel(level, 1.3) for level in (0, 1, 2)]
+    kernels += [kappa_gamma_kernel(1.0), kappa_gamma_kernel(4.5)]
+    kernels += [_schur_degree4_kernel(rng, n) for n in (2, 3)]
+    kernels += [random_kernel(rng, n, terms=4, max_deg=2) for n in (1, 2, 3)]
+    assert any(np.any(k.triple.b != 0.0) for k in kernels)
+    for kernel in kernels:
+        deg = kernel.poly.degree()
+        for j in range(1, min(5, 16 // max(deg, 1)) + 1):
+            full = _full_chain_moment(kernel, j)
+            folded = spectral.moment(kernel, j)
+            assert abs(folded - full) <= 1e-12 * abs(full), (kernel.n, deg, j)
+
+
+def _block_rotations(exps: tuple, width: int, n: int) -> list[tuple]:
+    chain, params = exps[:width], exps[width:]
+    return [chain[s:] + chain[:s] + params for s in range(0, width, n)]
+
+
+def test_chain_orbits_fold_the_full_product_by_block_rotation():
+    rng = np.random.default_rng(82)
+    cases = [(random_kernel(rng, n, terms=4, max_deg=2).poly, n) for n in (1, 2, 3)]
+    cases.append((kappa_gamma_family().poly_gamma, 1))  # a trailing parameter
+    for poly, n in cases:
+        items = tuple(poly.terms.items())
+        types = tuple(map(type, poly.terms.values()))
+        for j in range(1, 5):
+            full = spectral._chain_links(poly.nvars, items, types, n, j, mpmath.mp.prec)
+            folded = spectral._chain_orbits(poly.nvars, items, types, n, j, mpmath.mp.prec)
+            width = j * n
+            assert folded.nvars == full.nvars
+            for key in folded.terms:
+                assert key == min(_block_rotations(key, width, n))
+            sums: dict = {}
+            for exps, coeff in full.terms.items():
+                rep = min(_block_rotations(exps, width, n))
+                sums[rep] = sums[rep] + coeff if rep in sums else coeff
+            assert list(folded.terms.items()) == [(e, c) for e, c in sums.items() if c]
+            if j == 1:
+                assert folded.terms == full.terms
+            if j > 1 and n > 1:
+                assert len(folded.terms) < len(full.terms)
+
+
+def test_family_evaluator_matches_full_chain_build(monkeypatch):
+    fam = kappa_gamma_family()
+    gammas = np.linspace(0.0, 12.0, 13)
+    for k in (3, 4, 5):
+        for delta in (0.0, 250.0, 1e4, 1e5):
+            folded = fam.ek_evaluator(k, delta)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_chain_orbits", spectral._chain_prefactor)
+                full = fam.ek_evaluator(k, delta)
+            for gamma in gammas:
+                assert np.array_equal(folded(gamma), full(gamma)), (k, delta, gamma)
+
+
+def _orbits(poly: MultiPoly, n: int, j: int) -> MultiPoly:
+    terms = poly.terms
+    return spectral._chain_orbits(
+        poly.nvars, tuple(terms.items()), tuple(map(type, terms.values())), n, j, mpmath.mp.prec
+    )
+
+
+def test_chain_orbits_cache_keys_on_types_and_precision():
+    spectral._chain_orbits.cache_clear()
+    terms = {(0, 0): 1.5, (1, 1): -2.0, (2, 0): 0.25, (0, 2): 0.25}
+    folded = _orbits(MultiPoly(2, terms), 1, 3)
+    assert all(type(c) is complex for c in folded.terms.values())
+    mp_folded = _orbits(MultiPoly(2, {e: mpmath.mpf(c) for e, c in terms.items()}), 1, 3)
+    assert mp_folded is not folded
+    assert all(isinstance(c, mpmath.mpf) for c in mp_folded.terms.values())
+
+    with mpmath.workdps(100):
+        poly = MultiPoly(2, {(0, 0): mpmath.mpf(1) / 3, (1, 1): mpmath.mpf(2) / 7})
+    items, types = tuple(poly.terms.items()), tuple(map(type, poly.terms.values()))
+    built = {}
+    for dps in (15, 100, 15):
+        with mpmath.workdps(dps):
+            folded = _orbits(poly, 1, 4)
+            ref = spectral._chain_orbits.__wrapped__(2, items, types, 1, 4, mpmath.mp.prec)
+        assert list(folded.terms.items()) == list(ref.terms.items())
+        built.setdefault(dps, folded)
+    assert built[15].terms != built[100].terms
+    assert built[15] is _orbits(poly, 1, 4)  # a hit
+    assert spectral._chain_orbits.cache_info().maxsize == spectral.CHAIN_CACHE_SIZE
+
+
+def test_moment_does_not_cache_the_full_chain_product():
+    spectral._chain_prefactor.cache_clear()
+    spectral.positivity_sweep(kappa_gamma_kernel(4.5), 5)
+    assert spectral._chain_prefactor.cache_info().currsize == 0
