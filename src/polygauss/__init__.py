@@ -17,7 +17,6 @@ from .gaussian import (
     gaussian_positive,
     phase_space_form,
     preorder_leq,
-    sufficient_leq,
     symplectic_spectrum,
 )
 from .kernels import PolyGaussianKernel
@@ -63,7 +62,6 @@ __all__ = [
     "poly_gaussian_integral",
     "positivity_sweep",
     "preorder_leq",
-    "sufficient_leq",
     "symplectic_spectrum",
     "wigner_transform",
     "z_root",

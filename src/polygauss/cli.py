@@ -240,10 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=True):
+    def common(p):
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        if with_format:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("check", help="run the ordered positivity pipeline")
     p.add_argument("spec")

@@ -23,25 +23,17 @@ from typing import Optional
 import numpy as np
 
 from . import spectral
-from .gaussian import (
-    GaussianPositivity,
-    GaussianTriple,
-    PreorderWitness,
-    gaussian_positive,
-    preorder_leq,
-)
+from .gaussian import GaussianPositivity, GaussianTriple, gaussian_positive
 from .kernels import PolyGaussianKernel
 
 __all__ = [
     "Bipartition",
     "NptVerdict",
-    "PropagationRecord",
     "entangled_fixture",
     "gaussian_separability",
     "npt_gate",
     "partial_transpose",
     "partial_transpose_triple",
-    "preorder_npt_propagate",
 ]
 
 TRACE_TOL = 1e-9
@@ -173,27 +165,6 @@ def gaussian_separability(triple: GaussianTriple, b: Bipartition) -> str:
         return "out_of_scope"
     pt = gaussian_positive(partial_transpose_triple(triple, b))
     return "separable" if pt.positive else "entangled"
-
-
-@dataclass(frozen=True)
-class PropagationRecord:
-    """Preorder link between the partial transposes of two Gaussian weights.
-
-    When ``holds``, an NPT certificate for any polynomial factor over the
-    second weight transfers to the same polynomial over the first.
-    """
-
-    holds: bool
-    witness: PreorderWitness
-
-
-def preorder_npt_propagate(
-    g0: GaussianTriple, g1: GaussianTriple, b: Bipartition
-) -> PropagationRecord:
-    pt0 = partial_transpose_triple(g0, b)
-    pt1 = partial_transpose_triple(g1, b)
-    holds, witness = preorder_leq(pt0, pt1)
-    return PropagationRecord(holds, witness)
 
 
 def entangled_fixture() -> GaussianTriple:

@@ -36,7 +36,6 @@ __all__ = [
     "phase_space_form",
     "preorder_leq",
     "shifted_triple",
-    "sufficient_leq",
     "symplectic_form",
     "symplectic_spectrum",
     "triple_exponent_matrix",
@@ -374,18 +373,5 @@ def equiv(g0: GaussianTriple, g1: GaussianTriple, rtol: float = EQUIV_RTOL) -> b
     db = g1.b - g0.b
     return (
         float(np.max(np.abs(gap))) <= rtol * scale
-        and float(np.max(np.abs(db - db.T))) <= rtol * scale
-    )
-
-
-def sufficient_leq(g0: GaussianTriple, g1: GaussianTriple, rtol: float = EQUIV_RTOL) -> bool:
-    """Cheap sufficient condition: A1 - C1 >= A0 - C0 and symmetric B1 - B0."""
-    if g0.n != g1.n:
-        raise ValueError("triples must have equal dimension")
-    scale = max(g0.scale(), g1.scale())
-    gap = (g1.a - g1.c) - (g0.a - g0.c)
-    db = g1.b - g0.b
-    return (
-        numerics.min_eigenvalue(gap) >= -rtol * scale
         and float(np.max(np.abs(db - db.T))) <= rtol * scale
     )

@@ -32,6 +32,7 @@ from .entangle import npt_gate
 from .gaussian import equiv, gaussian_positive, shifted_triple
 from .poly import MultiPoly, odd_degree_gate
 from .specio import ParsedSpec, jsonable
+from .wick import DEFAULT_DEGREE_CAP
 
 __all__ = ["PipelineConfig", "PipelineReport", "StageResult", "run_pipeline", "verify_certificate"]
 
@@ -272,12 +273,17 @@ def _recheck_ek(kernel, delta: float, k: int) -> bool:
     """Re-derive an e_k certificate from the full, unfolded chain integrands.
 
     The producing sweep integrates orbit-folded chains (:func:`spectral.moment`);
-    this re-check integrates every term of :func:`spectral.chain_form`, then
-    applies the same Newton recursion and threshold.
+    this re-check integrates every term of ``chain_integrand(chain_links(...))``,
+    built without the sweep's cache, then applies the same Newton recursion
+    and threshold.  A k that no sweep can reach is rejected.
     """
+    deg = kernel.poly.degree() or 0
+    if not 1 <= k <= spectral.MAX_MOMENT_ORDER or k * deg > DEFAULT_DEGREE_CAP:
+        return False
 
     def full_moment(kern, j: int) -> float:
-        form = spectral.chain_form(kern.poly, kern.exponent_matrix(), j, kern.norm)
+        links = spectral.chain_links(kern.poly, kern.n, j)
+        form = spectral.chain_integrand(links, kern.exponent_matrix(), j, kern.norm)
         return form.integrate(range(form.nvars)).real_scalar()
 
     if delta:

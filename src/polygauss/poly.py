@@ -112,16 +112,6 @@ class MultiPoly:
     def constant(cls, nvars: int, value: complex) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: value})
 
-    @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], coeff: complex = 1.0) -> "MultiPoly":
-        return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1.0})
-
     @property
     def n(self) -> int:
         """Half the variable count, for kernel polynomials in (x, y) blocks."""

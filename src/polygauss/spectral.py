@@ -10,8 +10,11 @@ one representative per orbit before it is integrated,
     sum_alpha c_alpha E[w^alpha] = sum_orbits (sum_{alpha in O} c_alpha) E[w^rep(O)],
 
 exactly for any n, complex B and either number type (only the rounding of
-the summed coefficients differs).  :func:`chain_form` keeps the full,
-unfolded integrand as an independent route for re-checking certificates.
+the summed coefficients differs).  :func:`chain_form` returns that folded
+integrand from one small cache, and every trace power (:func:`moment`, the
+family evaluator) integrates it.  The unfolded chain,
+``chain_integrand(chain_links(...))``, is built without a cache and serves
+only as the independent route for re-checking certificates.
 
 Newton's identities turn the moments into the elementary symmetric values
 ``e_k`` of the eigenvalue sequence; a negative ``e_k`` certifies that the
@@ -53,6 +56,8 @@ __all__ = [
     "SpectralReport",
     "ZRootResult",
     "chain_form",
+    "chain_integrand",
+    "chain_links",
     "delta_scan",
     "delta_shifted_normalized",
     "elementary_symmetric",
@@ -73,7 +78,7 @@ MERCER_MAX_BLOCK = 128  # trials per stacked Gram build; bounds its memory
 # and drive the true e_k far below double-precision cancellation noise; at
 # delta = 1e5 the chain coefficients spread over 23 orders of magnitude.
 FAMILY_DPS = 100
-# Chain prefactors kept by chain_form: a kernel's orders with room to spare.
+# Folded chain prefactors kept by chain_form: a kernel's orders with room to spare.
 CHAIN_CACHE_SIZE = 16
 
 
@@ -83,73 +88,37 @@ CHAIN_CACHE_SIZE = 16
 def chain_form(
     poly: MultiPoly, exponent_matrix: np.ndarray, j: int, scale=1.0
 ) -> GaussianForm:
-    """Cyclic j-fold product integrand of ``scale * poly * exp(-(x, y)^T M (x, y))``.
+    """Orbit-folded cyclic j-fold chain of ``scale * poly * exp(-(x, y)^T M (x, y))``.
 
     ``M`` is the 2n x 2n exponent matrix.  Block ``i`` of the first ``j * n``
     variables is the i-th integration point; each kernel copy couples
     consecutive blocks and the last copy closes the cycle.  Variables of
     ``poly`` beyond its first 2n are parameters shared by every link; they
     trail the chain variables.  The number type of ``M`` and of the
-    coefficients carries through.  The polynomial prefactor is the full
-    j-link product; it depends only on ``(poly, n, j)`` and comes from a
-    small cache.  :func:`moment` and the family evaluator integrate the same
-    chain with the prefactor folded over its cyclic orbits instead
-    (:func:`_chain_orbits`); this unfolded form is the independent route that
-    :func:`polygauss.pipeline.verify_certificate` re-checks e_k with.
+    coefficients carries through.  The prefactor is the j-link product
+    folded over its cyclic orbits (:func:`_chain_orbits`, cached per
+    polynomial, n, j and mpmath precision): integrated over all chain
+    variables it equals the unfolded chain's integral, but its terms are
+    not the chain's own.  :func:`chain_links` and :func:`chain_integrand` build
+    the unfolded chain.
     """
-    return _chain_integrand(poly, exponent_matrix, j, scale, _chain_prefactor)
+    n = exponent_matrix.shape[0] // 2
+    terms = poly.terms
+    folded = _chain_orbits(
+        poly.nvars, tuple(terms.items()), tuple(map(type, terms.values())), n, j, mpmath.mp.prec
+    )
+    return chain_integrand(folded, exponent_matrix, j, scale)
 
 
-def _chain_integrand(poly, m2, j, scale, prefactor) -> GaussianForm:
-    """The chain integrand of :func:`chain_form`, its prefactor built by ``prefactor``.
+def chain_links(poly: MultiPoly, n: int, j: int) -> MultiPoly:
+    """Product of the j renamed links of ``poly``: the unfolded chain prefactor.
 
-    ``prefactor`` is :func:`_chain_prefactor` (the full j-link product) or
-    :func:`_chain_orbits` (its orbit fold, whose integral over all chain
-    variables is the same).
+    Link ``i`` maps the x block to chain block ``i`` and the y block to
+    block ``i + 1 mod j``; parameter variables beyond 2n trail the chain.
     """
     if j < 1:
         raise ValueError("chain order must be at least 1")
-    n = m2.shape[0] // 2
-    terms = poly.terms
-    pref = prefactor(
-        poly.nvars, tuple(terms.items()), tuple(map(type, terms.values())), n, j, mpmath.mp.prec
-    )
-    quad = _chain_quad(m2, j, pref.nvars)
-    return GaussianForm(pref, quad, np.zeros(pref.nvars, dtype=quad.dtype), 0, scale**j)
-
-
-def _chain_quad(m2: np.ndarray, j: int, nv: int) -> np.ndarray:
-    """The block-circulant quadratic form of a j-link chain over ``nv`` variables.
-
-    Link ``i`` adds ``m2`` on blocks ``(i, i + 1 mod j)``, so rotating the
-    blocks maps the form onto itself.  Trailing parameter variables get no
-    quadratic terms.
-    """
-    n = m2.shape[0] // 2
-    quad = np.zeros((nv, nv), dtype=m2.dtype)
-    if j == 1:  # x and y collapse onto one block
-        quad[:n, :n] = (m2[:n, :n] + m2[n:, :n]) + (m2[:n, n:] + m2[n:, n:])
-        return quad
-    for i in range(j):
-        var_map = [i * n + d for d in range(n)] + [(i + 1) % j * n + d for d in range(n)]
-        quad[np.ix_(var_map, var_map)] += m2
-    return quad
-
-
-def _chain_links(nvars: int, items: tuple, types: tuple, n: int, j: int, prec: int) -> MultiPoly:
-    """Product of the j renamed links of the polynomial with terms ``items``.
-
-    The arguments are the key of the caches built on it: the polynomial's
-    terms in their order (which fixes the order of every sum), the
-    coefficient types (``types`` only keys a cache: an mpmath coefficient
-    equals and hashes like the complex of the same value) and the mpmath
-    precision its products round to.  Coefficients compare by value, so two
-    polynomials whose coefficients differ only in the sign of a zero real or
-    imaginary part share an entry; their products differ at most in the
-    signs of zero parts.
-    """
-    poly = MultiPoly._from_terms(nvars, dict(items), False)
-    params = [j * n + p for p in range(nvars - 2 * n)]
+    params = [j * n + p for p in range(poly.nvars - 2 * n)]
     nv = j * n + len(params)
     pref = None
     for i in range(j):
@@ -159,7 +128,23 @@ def _chain_links(nvars: int, items: tuple, types: tuple, n: int, j: int, prec: i
     return pref
 
 
-_chain_prefactor = functools.lru_cache(maxsize=CHAIN_CACHE_SIZE)(_chain_links)
+def chain_integrand(prefactor: MultiPoly, m2: np.ndarray, j: int, scale=1.0) -> GaussianForm:
+    """``scale^j * prefactor`` over the block-circulant Gaussian of a j-link chain.
+
+    Link ``i`` adds ``m2`` on blocks ``(i, i + 1 mod j)``, so rotating the
+    blocks maps the form onto itself.  Trailing parameter variables of the
+    prefactor get no quadratic terms.
+    """
+    n = m2.shape[0] // 2
+    nv = prefactor.nvars
+    quad = np.zeros((nv, nv), dtype=m2.dtype)
+    if j == 1:  # x and y collapse onto one block
+        quad[:n, :n] = (m2[:n, :n] + m2[n:, :n]) + (m2[:n, n:] + m2[n:, n:])
+    else:
+        for i in range(j):
+            var_map = [i * n + d for d in range(n)] + [(i + 1) % j * n + d for d in range(n)]
+            quad[np.ix_(var_map, var_map)] += m2
+    return GaussianForm(prefactor, quad, np.zeros(nv, dtype=quad.dtype), 0, scale**j)
 
 
 @functools.lru_cache(maxsize=CHAIN_CACHE_SIZE)
@@ -172,9 +157,15 @@ def _chain_orbits(nvars: int, items: tuple, types: tuple, n: int, j: int, prec: 
     its representative, the lexicographically smallest rotation of the chain
     exponents (trailing parameter exponents ride along), carrying the sum of
     the orbit's coefficients in product order.  The sums are not pruned.
-    The key is that of :func:`_chain_links`; the full product is not cached.
+
+    The key is the polynomial's terms in their order (which fixes the order
+    of every sum), the coefficient types (an mpmath coefficient equals and
+    hashes like the complex of the same value) and the mpmath precision the
+    products round to.  Coefficients compare by value, so two polynomials
+    whose coefficients differ only in the sign of a zero real or imaginary
+    part share an entry; their products differ at most in those signs.
     """
-    full = _chain_links(nvars, items, types, n, j, prec)
+    full = chain_links(MultiPoly._from_terms(nvars, dict(items), False), n, j)
     if j == 1:
         return full
     width = j * n
@@ -187,26 +178,23 @@ def _chain_orbits(nvars: int, items: tuple, types: tuple, n: int, j: int, prec: 
     return MultiPoly._from_terms(full.nvars, folded, False)
 
 
-def moment(kernel: PolyGaussianKernel, j: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> float:
+def moment(kernel: PolyGaussianKernel, j: int) -> float:
     """Trace power ``M_j = Tr(K^j)``, a real number.
 
-    The chain integrand is integrated over its cyclic orbits: the trace is
-    invariant under rotating the j integration points, so each orbit of the
-    j-link prefactor contributes its summed coefficient times one Wick
-    moment (:func:`_chain_orbits`).  The value equals the integral of the
-    full :func:`chain_form` up to rounding.
+    Integrates :func:`chain_form`: the trace is invariant under rotating the
+    j integration points, so each orbit of the j-link prefactor contributes
+    its summed coefficient times one Wick moment.  The value equals the
+    integral of the unfolded chain up to rounding.
     """
     if j > MAX_MOMENT_ORDER:
         raise ValueError(f"moment order {j} exceeds the maximum {MAX_MOMENT_ORDER}")
     deg = kernel.poly.degree() or 0
-    if j * deg > degree_cap:
+    if j * deg > DEFAULT_DEGREE_CAP:
         raise ValueError(
-            f"chain prefactor degree {j * deg} exceeds the degree cap {degree_cap}"
+            f"chain prefactor degree {j * deg} exceeds the degree cap {DEFAULT_DEGREE_CAP}"
         )
-    form = _chain_integrand(
-        kernel.poly, kernel.exponent_matrix(), j, kernel.norm, _chain_orbits
-    )
-    return form.integrate(range(form.nvars), degree_cap=degree_cap).real_scalar()
+    form = chain_form(kernel.poly, kernel.exponent_matrix(), j, kernel.norm)
+    return form.integrate(range(form.nvars)).real_scalar()
 
 
 # ------------------------------------------------- elementary symmetric e_k
@@ -327,11 +315,9 @@ class GammaFamily:
 
     def kernel(self, gamma: float, delta: float = 0.0) -> PolyGaussianKernel:
         """The trace-one family member at (gamma, delta)."""
-        raw = PolyGaussianKernel(self.poly_at(gamma), self.triple(delta), 1.0)
-        tr = moment(raw, 1)
-        if tr <= 0.0:
-            raise ValueError(f"family member at gamma={gamma} has non-positive trace")
-        return raw.with_norm(1.0 / tr)
+        return delta_shifted_normalized(
+            PolyGaussianKernel(self.poly_at(gamma), self.base_triple), delta
+        )
 
     def ek_evaluator(self, kmax: int, delta: float) -> Callable[[float], np.ndarray]:
         """gamma -> (e_1..e_kmax) map at fixed delta.
@@ -364,8 +350,7 @@ class GammaFamily:
             # gamma (the chains carry no linear exponent terms, so const = 0).
             traces = []
             for j in range(1, kmax + 1):
-                chain = _chain_integrand(poly, exponent_matrix, j, 1.0, _chain_orbits)
-                form = chain.integrate(range(j * n))
+                form = chain_form(poly, exponent_matrix, j).integrate(range(j * n))
                 traces.append(form.poly * form.scale)
 
         def eks_at(gamma: float) -> np.ndarray:

@@ -45,7 +45,6 @@ __all__ = [
     "WignerForm",
     "gaussian_integral",
     "integrate_out",
-    "kernel_form",
     "poly_gaussian_integral",
     "wigner_inverse",
     "wigner_transform",
@@ -184,18 +183,14 @@ class GaussianForm:
             logger.debug("dropping imaginary residue: raw value %r", value)
         return value.real
 
-    def integrate(
-        self,
-        internal: Sequence[int],
-        degree_cap: int = DEFAULT_DEGREE_CAP,
-    ) -> "GaussianForm":
+    def integrate(self, internal: Sequence[int]) -> "GaussianForm":
         """Integrate the listed variables over R; the rest become the new ring.
 
         Requires the real part of the internal quadratic block to be positive
         definite.  The returned form lives on the remaining variables in
-        their original order.  ``degree_cap`` bounds the prefactor degree in
-        the internal variables; external ones (such as family parameters)
-        only ride along.
+        their original order.  The prefactor degree in the internal
+        variables may not exceed ``DEFAULT_DEGREE_CAP``; external ones (such
+        as family parameters) only ride along.
         """
         internal = sorted(set(int(i) for i in internal))
         if any(i < 0 or i >= self.nvars for i in internal):
@@ -208,8 +203,8 @@ class GaussianForm:
         sqrt_det = numerics.complex_sqrt_det(q_int)  # raises unless Re(q_int) > 0
         pick_int = _picker(internal)
         deg = max((sum(pick_int(e)) for e in self.poly.terms), default=0)
-        if deg > degree_cap:
-            raise DegreeCapError(f"prefactor degree {deg} exceeds cap {degree_cap}")
+        if deg > DEFAULT_DEGREE_CAP:
+            raise DegreeCapError(f"prefactor degree {deg} exceeds cap {DEFAULT_DEGREE_CAP}")
 
         q_inv = numerics.inverse(q_int)
         cross = self.quad[np.ix_(internal, external)]  # (m, q)
@@ -268,7 +263,6 @@ def poly_gaussian_integral(
     prefactor: MultiPoly,
     quad: np.ndarray,
     lin: Optional[np.ndarray] = None,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> complex:
     """Exact ``integral prefactor(z) exp(-z^T quad z + lin^T z) dz``."""
     quad = numerics.as_complex_symmetric(np.asarray(quad, dtype=complex))
@@ -278,18 +272,7 @@ def poly_gaussian_integral(
     if lin is None:
         lin = np.zeros(m, dtype=complex)
     form = GaussianForm(prefactor, quad, np.asarray(lin, dtype=complex))
-    return form.integrate(range(m), degree_cap=degree_cap).as_scalar()
-
-
-def kernel_form(kernel: PolyGaussianKernel) -> GaussianForm:
-    """The kernel as a form over its 2n variables (x block, then y block)."""
-    return GaussianForm(
-        kernel.poly,
-        kernel.exponent_matrix(),
-        np.zeros(2 * kernel.n, dtype=complex),
-        0j,
-        kernel.norm,
-    )
+    return form.integrate(range(m)).as_scalar()
 
 
 def _form_to_kernel(form: GaussianForm, rtol: float = REAL_RTOL) -> PolyGaussianKernel:
@@ -315,7 +298,6 @@ def integrate_out(
     kernel: PolyGaussianKernel,
     coords: Sequence[int],
     diagonal: bool = True,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> PolyGaussianKernel:
     """Integrate a coordinate block out of a kernel.
 
@@ -366,7 +348,7 @@ def integrate_out(
     form = GaussianForm(
         poly_new, quad_new, np.zeros(nvars_new, dtype=complex), 0j, kernel.norm
     )
-    reduced = form.integrate(internal, degree_cap=degree_cap)
+    reduced = form.integrate(internal)
     return _form_to_kernel(reduced)
 
 
@@ -384,9 +366,7 @@ class WignerForm:
         return complex(self.scale * self.poly(v) * np.exp(-(v @ self.quad @ v)))
 
 
-def wigner_transform(
-    kernel: PolyGaussianKernel, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> WignerForm:
+def wigner_transform(kernel: PolyGaussianKernel) -> WignerForm:
     """Phase-space transform of a kernel.
 
     Integrates ``(2 pi)^{-n} exp(-i p^T y) kernel(x + y/2, x - y/2)`` over y
@@ -411,7 +391,7 @@ def wigner_transform(
     poly = kernel.poly.compose_affine(sel)
     scale = kernel.norm * (2.0 * np.pi) ** (-n)
     form = GaussianForm(poly, quad, np.zeros(nv, dtype=complex), 0j, scale)
-    reduced = form.integrate(range(n), degree_cap=degree_cap)
+    reduced = form.integrate(range(n))
 
     g = reduced.quad
     if float(np.max(np.abs(g.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
@@ -422,9 +402,7 @@ def wigner_transform(
     return WignerForm(n, reduced.poly, numerics.as_real_symmetric(g.real, rtol=1e-9), scalar)
 
 
-def wigner_inverse(
-    w: WignerForm, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> PolyGaussianKernel:
+def wigner_inverse(w: WignerForm) -> PolyGaussianKernel:
     """Invert :func:`wigner_transform` back to a position-representation kernel.
 
     Integrates ``w((x + y)/2, p) exp(i p^T (x - y))`` over p.
@@ -446,5 +424,5 @@ def wigner_inverse(
         quad[2 * n + i, i] += 0.5j
     poly = w.poly.compose_affine(sel)
     form = GaussianForm(poly, quad, np.zeros(nv, dtype=complex), 0j, w.scale)
-    reduced = form.integrate(range(n), degree_cap=degree_cap)
+    reduced = form.integrate(range(n))
     return _form_to_kernel(reduced, rtol=1e-8)

@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from polygauss import numerics
-from polygauss.gaussian import GaussianTriple, symplectic_form
+from polygauss.entangle import Bipartition, partial_transpose_triple
+from polygauss.gaussian import (
+    EQUIV_RTOL,
+    GaussianTriple,
+    PreorderWitness,
+    preorder_leq,
+    symplectic_form,
+)
 from polygauss.kernels import PolyGaussianKernel
 from polygauss.poly import MultiPoly
 from polygauss.spectral import MercerCertificate, verify_mercer_certificate
@@ -106,6 +114,40 @@ def gauss_hermite_oracle(prefactor: MultiPoly, quad: np.ndarray, lin: np.ndarray
     w = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
     det_jac = 1.0 / np.prod(np.diag(chol))
     return complex(det_jac * np.sum(w * phase * poly_vals))
+
+
+def sufficient_leq(g0: GaussianTriple, g1: GaussianTriple, rtol: float = EQUIV_RTOL) -> bool:
+    """Cheap sufficient condition: A1 - C1 >= A0 - C0 and symmetric B1 - B0."""
+    if g0.n != g1.n:
+        raise ValueError("triples must have equal dimension")
+    scale = max(g0.scale(), g1.scale())
+    gap = (g1.a - g1.c) - (g0.a - g0.c)
+    db = g1.b - g0.b
+    return (
+        numerics.min_eigenvalue(gap) >= -rtol * scale
+        and float(np.max(np.abs(db - db.T))) <= rtol * scale
+    )
+
+
+@dataclass(frozen=True)
+class PropagationRecord:
+    """Preorder link between the partial transposes of two Gaussian weights.
+
+    When ``holds``, an NPT certificate for any polynomial factor over the
+    second weight transfers to the same polynomial over the first.
+    """
+
+    holds: bool
+    witness: PreorderWitness
+
+
+def preorder_npt_propagate(
+    g0: GaussianTriple, g1: GaussianTriple, b: Bipartition
+) -> PropagationRecord:
+    pt0 = partial_transpose_triple(g0, b)
+    pt1 = partial_transpose_triple(g1, b)
+    holds, witness = preorder_leq(pt0, pt1)
+    return PropagationRecord(holds, witness)
 
 
 def elementary_symmetric_det(moment_values: Sequence[float]) -> np.ndarray:

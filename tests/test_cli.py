@@ -267,8 +267,8 @@ def _schur_kernel(rng, n, support):
 def test_check_output_identical_to_reference_wick_engine(tmp_path, capsys, monkeypatch):
     # One kernel per class of the benchmark's trace-moment workload
     # (``check --trials 0``): the report must not move by a single bit when
-    # the packed Wick table and the shared chain prefactors replace the
-    # recursive tuple-keyed table and per-call prefactor builds.  With this
+    # the packed Wick table and the cached orbit folds replace the
+    # recursive tuple-keyed table and per-call fold builds.  With this
     # seed, summing the Wick recurrence in descending j changes the reports
     # of two of the Schur kernels.
     rng = np.random.default_rng(123)
@@ -297,9 +297,9 @@ def test_check_output_identical_to_reference_wick_engine(tmp_path, capsys, monke
 
     with monkeypatch.context() as m:
         m.setattr(wick, "WickTable", WickTableReference)
-        m.setattr(spectral, "_chain_prefactor", spectral._chain_prefactor.__wrapped__)
+        m.setattr(spectral, "_chain_orbits", spectral._chain_orbits.__wrapped__)
         reference = reports()
-    spectral._chain_prefactor.cache_clear()
+    spectral._chain_orbits.cache_clear()
     assert reports() == reference
     docs = [json.loads(text) for text in reference]
     assert [d["certificate_stage"] for d in docs].count(None) == len(cases) - 1
@@ -327,3 +327,18 @@ def test_ek_certificate_reverifies_without_the_orbit_fold(monkeypatch):
         if k != cert["k"]:
             assert not verify_certificate(spec, {**cert, "k": k}), k
     assert not verify_certificate(shifted_spec, {**shifted.certificate, "k": 2})
+
+
+def test_ek_certificate_with_an_unreachable_k_is_rejected():
+    # A claim whose k no sweep can reach (outside 1..MAX_MOMENT_ORDER, or a
+    # chain over the degree cap) is malformed: it verifies False, not raise.
+    spec = parse_kernel_spec(serialize_kernel_spec(kappa_gamma_kernel(4.5)))
+    report = run_pipeline(spec, PipelineConfig(trials=0))
+    cert = json.loads(json.dumps(report.to_dict()))["certificate"]
+    assert cert["kind"] == "ek_sweep" and verify_certificate(spec, cert)
+    for k in (0, -1, 9):
+        assert verify_certificate(spec, {**cert, "k": k}) is False, k
+    quartic = _schur_kernel(np.random.default_rng(5), 2, [(0, 0), (1, 1)])
+    assert quartic.poly.degree() == 4
+    quartic_spec = parse_kernel_spec(serialize_kernel_spec(quartic))
+    assert verify_certificate(quartic_spec, {**cert, "k": 5}) is False

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_kernel
+from conftest import preorder_npt_propagate, random_kernel
 from polygauss import entangle, gaussian, spectral
 from polygauss.entangle import Bipartition, entangled_fixture
 from polygauss.gaussian import GaussianTriple
@@ -171,13 +171,13 @@ def test_gaussian_separability_matches_grid_oracle_sign():
 def test_preorder_npt_propagation():
     t = entangled_fixture()
     b = Bipartition(2, (0,))
-    rec = entangle.preorder_npt_propagate(t, t, b)
+    rec = preorder_npt_propagate(t, t, b)
     assert rec.holds
     shifted = gaussian.shifted_triple(t, 5.0)
-    rec = entangle.preorder_npt_propagate(t, shifted, b)
+    rec = preorder_npt_propagate(t, shifted, b)
     assert rec.holds  # PT images stay in one equivalence class under the shift
     bigger_gap = GaussianTriple(t.a + np.eye(2), t.b, t.c)
-    rec = entangle.preorder_npt_propagate(bigger_gap, t, b)
+    rec = preorder_npt_propagate(bigger_gap, t, b)
     assert not rec.holds  # the A - C gap would have to shrink
 
 

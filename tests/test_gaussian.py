@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_gn_triple, random_kernel_valid_triple, random_symplectic
+from conftest import random_gn_triple, random_kernel_valid_triple, random_symplectic, sufficient_leq
 from polygauss import gaussian
 from polygauss.gaussian import GaussianTriple
 from polygauss.numerics import min_eigenvalue
@@ -201,13 +201,13 @@ def test_sufficient_condition_implies_preorder():
     for _ in range(30):
         n = int(rng.integers(1, 4))
         g0, g1 = _leq_pair(rng, n)
-        assert gaussian.sufficient_leq(g0, g1)
+        assert sufficient_leq(g0, g1)
         ok, _ = gaussian.preorder_leq(g0, g1)
         assert ok
     # Antisymmetric B difference defeats the sufficient test.
     base = GaussianTriple(np.eye(2), np.zeros((2, 2)), np.eye(2))
     other = GaussianTriple(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
-    assert not gaussian.sufficient_leq(base, other)
+    assert not sufficient_leq(base, other)
 
 
 def test_equiv_examples_and_two_sided_preorder():

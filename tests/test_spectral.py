@@ -111,8 +111,10 @@ def test_moment_caps():
     k = kappa_gamma_kernel(1.0)
     with pytest.raises(ValueError):
         spectral.moment(k, 9)
+    quartic = MultiPoly(2, {(2, 2): 1.0})
+    quartic = PolyGaussianKernel(quartic, GaussianTriple.from_scalars(1.5, 1.0))
     with pytest.raises(ValueError):
-        spectral.moment(k, 5, degree_cap=8)
+        spectral.moment(quartic, 5)
 
 
 def test_z_root_table_rows():
@@ -324,66 +326,42 @@ def _chain_prefactor_reference(poly: MultiPoly, n: int, j: int) -> MultiPoly:
     return pref
 
 
-def test_chain_prefactor_cache_matches_uncached_build():
-    spectral._chain_prefactor.cache_clear()
+def test_chain_links_matches_uncached_reference():
     kernel = random_kernel(np.random.default_rng(70), 2, terms=5, max_deg=2)
-    m2 = kernel.exponent_matrix()
     for j in range(1, 6):
         ref = _chain_prefactor_reference(kernel.poly, 2, j)
-        first = spectral.chain_form(kernel.poly, m2, j, kernel.norm)
-        again = spectral.chain_form(kernel.poly, 2.0 * m2, j, kernel.norm)
-        assert list(first.poly.terms.items()) == list(ref.terms.items())
-        assert again.poly is first.poly  # a hit, served with its own quadratic form
-        assert np.array_equal(again.quad, 2.0 * first.quad)
-    # A polynomial with the same terms in another order is another key: the
-    # order fixes the order of every sum in the product.
+        links = spectral.chain_links(kernel.poly, 2, j)
+        assert list(links.terms.items()) == list(ref.terms.items())
+    # A polynomial with the same terms in another order gives another
+    # product: the order fixes the order of every sum.
     reordered = MultiPoly(4, dict(reversed(list(kernel.poly.terms.items()))))
-    form = spectral.chain_form(reordered, m2, 3)
-    assert list(form.poly.terms.items()) == list(
+    assert list(spectral.chain_links(reordered, 2, 3).terms.items()) == list(
         _chain_prefactor_reference(reordered, 2, 3).terms.items()
     )
+    with pytest.raises(ValueError):
+        spectral.chain_links(kernel.poly, 2, 0)
 
 
-def test_chain_prefactor_cache_keeps_number_types_apart():
-    spectral._chain_prefactor.cache_clear()
-    terms = {(0, 0): 1.5, (1, 1): -2.0, (2, 0): 0.25, (0, 2): 0.25}
-    m2 = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    float_form = spectral.chain_form(MultiPoly(2, terms), m2, 3)
-    assert all(type(c) is complex for c in float_form.poly.terms.values())
-    # Same values at the same precision: only the coefficient types differ.
-    mp_poly = MultiPoly(2, {e: mpmath.mpf(c) for e, c in terms.items()})
-    mp_form = spectral.chain_form(mp_poly, np.array(m2.tolist(), dtype=object), 3)
-    assert mp_form.poly is not float_form.poly
-    assert all(isinstance(c, mpmath.mpf) for c in mp_form.poly.terms.values())
-
-
-def test_chain_prefactor_cache_keys_on_precision():
-    spectral._chain_prefactor.cache_clear()
-    m2 = np.array([[2.0, -1.0], [-1.0, 2.0]], dtype=object)
-    with mpmath.workdps(100):
-        poly = MultiPoly(2, {(0, 0): mpmath.mpf(1) / 3, (1, 1): mpmath.mpf(2) / 7})
-    built = {}
-    for dps in (15, 100, 15):
-        with mpmath.workdps(dps):
-            form = spectral.chain_form(poly, m2, 4)
-            ref = _chain_prefactor_reference(poly, 1, 4)
-        assert list(form.poly.terms.items()) == list(ref.terms.items())
-        built.setdefault(dps, form.poly)
-    assert built[15].terms != built[100].terms  # the precision changes the products
-
-
-def test_chain_prefactor_cache_is_bounded():
-    spectral._chain_prefactor.cache_clear()
-    m2 = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    for c in range(2 * spectral.CHAIN_CACHE_SIZE):
-        spectral.chain_form(MultiPoly(2, {(0, 0): 1.0, (1, 1): 0.1 * (c + 1)}), m2, 2)
-    info = spectral._chain_prefactor.cache_info()
-    assert info.maxsize == spectral.CHAIN_CACHE_SIZE
-    assert info.currsize == spectral.CHAIN_CACHE_SIZE
+def test_chain_form_serves_the_cached_orbit_fold():
+    spectral._chain_orbits.cache_clear()
+    kernel = random_kernel(np.random.default_rng(71), 2, terms=5, max_deg=2)
+    m2 = kernel.exponent_matrix()
+    for j in range(1, 6):
+        first = spectral.chain_form(kernel.poly, m2, j, kernel.norm)
+        again = spectral.chain_form(kernel.poly, 2.0 * m2, j, kernel.norm)
+        folded = _orbits_uncached(kernel.poly, 2, j)
+        assert list(first.poly.terms.items()) == list(folded.terms.items())
+        assert again.poly is first.poly  # a hit, served with its own quadratic form
+        assert np.array_equal(again.quad, 2.0 * first.quad)
+        links = _chain_prefactor_reference(kernel.poly, 2, j)
+        full = spectral.chain_integrand(links, m2, j, kernel.norm)
+        assert np.array_equal(first.quad, full.quad) and first.scale == full.scale
+    assert spectral._chain_orbits.cache_info().hits == 5
 
 
 def _full_chain_moment(kernel: PolyGaussianKernel, j: int) -> float:
-    form = spectral.chain_form(kernel.poly, kernel.exponent_matrix(), j, kernel.norm)
+    links = spectral.chain_links(kernel.poly, kernel.n, j)
+    form = spectral.chain_integrand(links, kernel.exponent_matrix(), j, kernel.norm)
     return form.integrate(range(form.nvars)).real_scalar()
 
 
@@ -406,12 +384,17 @@ def test_folded_moment_matches_full_chain_integral():
     kernels += [_schur_degree4_kernel(rng, n) for n in (2, 3)]
     kernels += [random_kernel(rng, n, terms=4, max_deg=2) for n in (1, 2, 3)]
     assert any(np.any(k.triple.b != 0.0) for k in kernels)
+    full_terms = folded_terms = 0
     for kernel in kernels:
         deg = kernel.poly.degree()
         for j in range(1, min(5, 16 // max(deg, 1)) + 1):
             full = _full_chain_moment(kernel, j)
             folded = spectral.moment(kernel, j)
             assert abs(folded - full) <= 1e-12 * abs(full), (kernel.n, deg, j)
+            full_terms += len(spectral.chain_links(kernel.poly, kernel.n, j).terms)
+            form = spectral.chain_form(kernel.poly, kernel.exponent_matrix(), j)
+            folded_terms += len(form.poly.terms)
+    assert folded_terms < full_terms  # the two routes integrate different terms
 
 
 def _block_rotations(exps: tuple, width: int, n: int) -> list[tuple]:
@@ -427,7 +410,7 @@ def test_chain_orbits_fold_the_full_product_by_block_rotation():
         items = tuple(poly.terms.items())
         types = tuple(map(type, poly.terms.values()))
         for j in range(1, 5):
-            full = spectral._chain_links(poly.nvars, items, types, n, j, mpmath.mp.prec)
+            full = spectral.chain_links(poly, n, j)
             folded = spectral._chain_orbits(poly.nvars, items, types, n, j, mpmath.mp.prec)
             width = j * n
             assert folded.nvars == full.nvars
@@ -444,6 +427,11 @@ def test_chain_orbits_fold_the_full_product_by_block_rotation():
                 assert len(folded.terms) < len(full.terms)
 
 
+def _full_links(nvars, items, types, n, j, prec):
+    """A stand-in for ``_chain_orbits`` that builds the unfolded j-link product."""
+    return spectral.chain_links(MultiPoly._from_terms(nvars, dict(items), False), n, j)
+
+
 def test_family_evaluator_matches_full_chain_build(monkeypatch):
     fam = kappa_gamma_family()
     gammas = np.linspace(0.0, 12.0, 13)
@@ -451,17 +439,23 @@ def test_family_evaluator_matches_full_chain_build(monkeypatch):
         for delta in (0.0, 250.0, 1e4, 1e5):
             folded = fam.ek_evaluator(k, delta)
             with monkeypatch.context() as m:
-                m.setattr(spectral, "_chain_orbits", spectral._chain_prefactor)
+                m.setattr(spectral, "_chain_orbits", _full_links)
                 full = fam.ek_evaluator(k, delta)
             for gamma in gammas:
                 assert np.array_equal(folded(gamma), full(gamma)), (k, delta, gamma)
 
 
-def _orbits(poly: MultiPoly, n: int, j: int) -> MultiPoly:
+def _orbit_key(poly: MultiPoly, n: int, j: int) -> tuple:
     terms = poly.terms
-    return spectral._chain_orbits(
-        poly.nvars, tuple(terms.items()), tuple(map(type, terms.values())), n, j, mpmath.mp.prec
-    )
+    return poly.nvars, tuple(terms.items()), tuple(map(type, terms.values())), n, j, mpmath.mp.prec
+
+
+def _orbits(poly: MultiPoly, n: int, j: int) -> MultiPoly:
+    return spectral._chain_orbits(*_orbit_key(poly, n, j))
+
+
+def _orbits_uncached(poly: MultiPoly, n: int, j: int) -> MultiPoly:
+    return spectral._chain_orbits.__wrapped__(*_orbit_key(poly, n, j))
 
 
 def test_chain_orbits_cache_keys_on_types_and_precision():
@@ -475,12 +469,11 @@ def test_chain_orbits_cache_keys_on_types_and_precision():
 
     with mpmath.workdps(100):
         poly = MultiPoly(2, {(0, 0): mpmath.mpf(1) / 3, (1, 1): mpmath.mpf(2) / 7})
-    items, types = tuple(poly.terms.items()), tuple(map(type, poly.terms.values()))
     built = {}
     for dps in (15, 100, 15):
         with mpmath.workdps(dps):
             folded = _orbits(poly, 1, 4)
-            ref = spectral._chain_orbits.__wrapped__(2, items, types, 1, 4, mpmath.mp.prec)
+            ref = _orbits_uncached(poly, 1, 4)
         assert list(folded.terms.items()) == list(ref.terms.items())
         built.setdefault(dps, folded)
     assert built[15].terms != built[100].terms
@@ -488,7 +481,43 @@ def test_chain_orbits_cache_keys_on_types_and_precision():
     assert spectral._chain_orbits.cache_info().maxsize == spectral.CHAIN_CACHE_SIZE
 
 
-def test_moment_does_not_cache_the_full_chain_product():
-    spectral._chain_prefactor.cache_clear()
-    spectral.positivity_sweep(kappa_gamma_kernel(4.5), 5)
-    assert spectral._chain_prefactor.cache_info().currsize == 0
+# The three tests below check the chain cache through ``chain_form``, the
+# entry point that the sweep and the family evaluator call.
+
+
+def test_chain_prefactor_cache_keeps_number_types_apart():
+    spectral._chain_orbits.cache_clear()
+    terms = {(0, 0): 1.5, (1, 1): -2.0, (2, 0): 0.25, (0, 2): 0.25}
+    m2 = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    float_form = spectral.chain_form(MultiPoly(2, terms), m2, 3)
+    assert all(type(c) is complex for c in float_form.poly.terms.values())
+    # Same values at the same precision: only the coefficient types differ.
+    mp_poly = MultiPoly(2, {e: mpmath.mpf(c) for e, c in terms.items()})
+    mp_form = spectral.chain_form(mp_poly, np.array(m2.tolist(), dtype=object), 3)
+    assert mp_form.poly is not float_form.poly
+    assert all(isinstance(c, mpmath.mpf) for c in mp_form.poly.terms.values())
+
+
+def test_chain_prefactor_cache_keys_on_precision():
+    spectral._chain_orbits.cache_clear()
+    m2 = np.array([[2.0, -1.0], [-1.0, 2.0]], dtype=object)
+    with mpmath.workdps(100):
+        poly = MultiPoly(2, {(0, 0): mpmath.mpf(1) / 3, (1, 1): mpmath.mpf(2) / 7})
+    built = {}
+    for dps in (15, 100, 15):
+        with mpmath.workdps(dps):
+            form = spectral.chain_form(poly, m2, 4)
+            ref = _orbits_uncached(poly, 1, 4)
+        assert list(form.poly.terms.items()) == list(ref.terms.items())
+        built.setdefault(dps, form.poly)
+    assert built[15].terms != built[100].terms  # the precision changes the products
+
+
+def test_chain_prefactor_cache_is_bounded():
+    spectral._chain_orbits.cache_clear()
+    m2 = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    for c in range(2 * spectral.CHAIN_CACHE_SIZE):
+        spectral.chain_form(MultiPoly(2, {(0, 0): 1.0, (1, 1): 0.1 * (c + 1)}), m2, 2)
+    info = spectral._chain_orbits.cache_info()
+    assert info.maxsize == spectral.CHAIN_CACHE_SIZE
+    assert info.currsize == spectral.CHAIN_CACHE_SIZE
