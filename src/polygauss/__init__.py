@@ -32,7 +32,7 @@ from .spectral import (
     positivity_sweep,
     z_root,
 )
-from .wick import gaussian_integral, integrate_out, poly_gaussian_integral, wigner_transform
+from .wick import gaussian_integral, integrate_out, poly_gaussian_integral
 
 __version__ = "0.1.0"
 
@@ -63,6 +63,5 @@ __all__ = [
     "positivity_sweep",
     "preorder_leq",
     "symplectic_spectrum",
-    "wigner_transform",
     "z_root",
 ]

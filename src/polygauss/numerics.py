@@ -80,10 +80,38 @@ def pi(like):
 
 
 def inverse(m: np.ndarray) -> np.ndarray:
-    """Matrix inverse, in the number type of ``m``."""
+    """Matrix inverse, in the number type of ``m``.
+
+    An mpmath matrix must be real symmetric positive definite, as the
+    internal block of :meth:`polygauss.wick.GaussianForm.integrate` is once
+    :func:`complex_sqrt_det` has accepted it: the inverse is
+    ``L^{-T} L^{-1}`` from the Cholesky factor ``L``, the same factorisation
+    that determinant uses, and comes out exactly symmetric.  A float64
+    matrix is inverted by ``np.linalg.inv``.
+    """
     if is_mp(m):
-        return np.array(mpmath.inverse(mpmath.matrix(m.tolist())).tolist(), dtype=object)
+        low = _mp_cholesky(m).tolist()
+        size = len(low)
+        # Forward substitution for the lower-triangular X = L^{-1}, column by column.
+        x = [[0] * size for _ in range(size)]
+        for j in range(size):
+            x[j][j] = 1 / low[j][j]
+            for i in range(j + 1, size):
+                x[i][j] = -mpmath.fdot((low[i][k], x[k][j]) for k in range(j, i)) / low[i][i]
+        out = np.empty((size, size), dtype=object)
+        for i in range(size):
+            for j in range(i, size):
+                out[i, j] = out[j, i] = mpmath.fdot((x[k][i], x[k][j]) for k in range(j, size))
+        return out
     return np.linalg.inv(m)
+
+
+def _mp_cholesky(m: np.ndarray) -> mpmath.matrix:
+    """Lower Cholesky factor of a real symmetric mpmath matrix."""
+    try:
+        return mpmath.cholesky(mpmath.matrix(m.tolist()))
+    except ValueError:
+        raise IndefiniteMatrixError("matrix is not positive definite") from None
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
@@ -184,10 +212,7 @@ def complex_sqrt_det(m: np.ndarray) -> complex:
     if is_mp(m):
         if any(mpmath.im(v) for v in m.flat):
             raise NotImplementedError("mpmath square-root determinant takes real matrices")
-        try:
-            chol = mpmath.cholesky(mpmath.matrix(m.tolist()))
-        except ValueError:
-            raise IndefiniteMatrixError("matrix is not positive definite") from None
+        chol = _mp_cholesky(m)
         return mpmath.fprod(chol[i, i] for i in range(chol.rows))
     re_min = np.linalg.eigvalsh(0.5 * (m.real + m.real.T))[0]
     if re_min <= 0.0:

@@ -2,7 +2,8 @@
 
 A :class:`MultiPoly` stores a map from exponent tuples to coefficients.
 Coefficients are Python complex numbers unless they are given as mpmath
-numbers, which arithmetic keeps as they are.  In
+numbers, which arithmetic keeps as they are; a scalar factor or divisor
+takes the coefficients' type, so real mpmath coefficients stay real.  In
 kernel contexts the variable list is split in half: the first ``n``
 variables are the "left" block (x) and the last ``n`` the "right" block (y),
 and self-adjointness means that swapping the blocks and conjugating the
@@ -174,7 +175,7 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if np.isscalar(other):
-            c = as_number(other)
+            c = self._scalar(other)
             return MultiPoly._from_terms(
                 self.nvars, {e: c * v for e, v in self._terms.items()}, False
             )
@@ -191,6 +192,12 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other) -> "MultiPoly":
+        if not np.isscalar(other):
+            return NotImplemented
+        c = self._scalar(other)
+        return MultiPoly._from_terms(self.nvars, {e: v / c for e, v in self._terms.items()}, False)
+
     def __pow__(self, k: int) -> "MultiPoly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
@@ -202,6 +209,10 @@ class MultiPoly:
             base = base * base if k > 1 else base
             k >>= 1
         return MultiPoly.constant(self.nvars, 1.0) if out is None else out
+
+    def _scalar(self, x):
+        """A scalar operand in the coefficients' number type (mpmath stays real)."""
+        return as_number(x, next(iter(self._terms.values()), None))
 
     def _coerce(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):

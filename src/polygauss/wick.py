@@ -9,8 +9,8 @@ variables being integrated.  Integrating out a subset of variables is exact:
 complete the square, shift the polynomial, and evaluate the centered moments
 by Isserlis pairing with covariance ``Q_int^{-1} / 2``.  External variables
 (including ones appearing only in the polynomial) pass through, so the same
-code path powers traces, trace-power moments, partial traces, phase-space
-transforms and the parameter-dependent moments of kernel families.
+code path powers traces, trace-power moments, partial traces and the
+parameter-dependent moments of kernel families.
 
 One engine serves two number types, and the inputs choose which: complex
 float64 arrays and coefficients run in double precision, while numpy object
@@ -42,12 +42,9 @@ __all__ = [
     "DegreeCapError",
     "GaussianForm",
     "WickTable",
-    "WignerForm",
     "gaussian_integral",
     "integrate_out",
     "poly_gaussian_integral",
-    "wigner_inverse",
-    "wigner_transform",
 ]
 
 DEFAULT_DEGREE_CAP = 16
@@ -350,79 +347,3 @@ def integrate_out(
     )
     reduced = form.integrate(internal)
     return _form_to_kernel(reduced)
-
-
-@dataclass(frozen=True)
-class WignerForm:
-    """Phase-space image ``scale * poly(x, p) * exp(-(x, p)^T quad (x, p))``."""
-
-    n: int
-    poly: MultiPoly  # over (x_1..x_n, p_1..p_n)
-    quad: np.ndarray  # real SPD 2n x 2n
-    scale: complex
-
-    def evaluate(self, x, p) -> complex:
-        v = np.concatenate([np.atleast_1d(x), np.atleast_1d(p)]).astype(float)
-        return complex(self.scale * self.poly(v) * np.exp(-(v @ self.quad @ v)))
-
-
-def wigner_transform(kernel: PolyGaussianKernel) -> WignerForm:
-    """Phase-space transform of a kernel.
-
-    Integrates ``(2 pi)^{-n} exp(-i p^T y) kernel(x + y/2, x - y/2)`` over y
-    in closed form.  The Gaussian part of the output matches
-    :func:`polygauss.gaussian.phase_space_form` and the polynomial part has
-    degree at most the kernel polynomial's.
-    """
-    n = kernel.n
-    # Ring layout: [y (internal), x, p].
-    nv = 3 * n
-    sel = np.zeros((2 * n, nv), dtype=complex)
-    for i in range(n):
-        sel[i, i] = 0.5  # x_old_i = x_i + y_i / 2
-        sel[i, n + i] = 1.0
-        sel[n + i, i] = -0.5  # y_old_i = x_i - y_i / 2
-        sel[n + i, n + i] = 1.0
-    quad = sel.T @ kernel.exponent_matrix() @ sel
-    # exp(-i p^T y) contributes the bilinear exponent term -(y^T (i I) p).
-    for i in range(n):
-        quad[i, 2 * n + i] += 0.5j
-        quad[2 * n + i, i] += 0.5j
-    poly = kernel.poly.compose_affine(sel)
-    scale = kernel.norm * (2.0 * np.pi) ** (-n)
-    form = GaussianForm(poly, quad, np.zeros(nv, dtype=complex), 0j, scale)
-    reduced = form.integrate(range(n))
-
-    g = reduced.quad
-    if float(np.max(np.abs(g.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
-        raise numerics.IndefiniteMatrixError("phase-space quadratic form came out complex")
-    if float(np.max(np.abs(reduced.lin))) > 1e-9:
-        raise numerics.IndefiniteMatrixError("phase-space form has a stray linear term")
-    scalar = reduced.scale * np.exp(reduced.const)
-    return WignerForm(n, reduced.poly, numerics.as_real_symmetric(g.real, rtol=1e-9), scalar)
-
-
-def wigner_inverse(w: WignerForm) -> PolyGaussianKernel:
-    """Invert :func:`wigner_transform` back to a position-representation kernel.
-
-    Integrates ``w((x + y)/2, p) exp(i p^T (x - y))`` over p.
-    """
-    n = w.n
-    # Ring layout: [p (internal), x, y].
-    nv = 3 * n
-    sel = np.zeros((2 * n, nv), dtype=complex)
-    for i in range(n):
-        sel[i, n + i] = 0.5  # x-argument = (x_i + y_i) / 2
-        sel[i, 2 * n + i] = 0.5
-        sel[n + i, i] = 1.0  # p-argument = p_i
-    quad = sel.T @ w.quad.astype(complex) @ sel
-    # exp(i p^T (x - y)) contributes -(p^T (-i I) x) and -(p^T (i I) y).
-    for i in range(n):
-        quad[i, n + i] += -0.5j
-        quad[n + i, i] += -0.5j
-        quad[i, 2 * n + i] += 0.5j
-        quad[2 * n + i, i] += 0.5j
-    poly = w.poly.compose_affine(sel)
-    form = GaussianForm(poly, quad, np.zeros(nv, dtype=complex), 0j, w.scale)
-    reduced = form.integrate(range(n))
-    return _form_to_kernel(reduced, rtol=1e-8)

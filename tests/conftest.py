@@ -7,9 +7,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import mpmath
 import numpy as np
 
-from polygauss import numerics
+from polygauss import numerics, wick
 from polygauss.entangle import Bipartition, partial_transpose_triple
 from polygauss.gaussian import (
     EQUIV_RTOL,
@@ -311,3 +312,117 @@ class WickTableReference:
                 total += row[j] * bj * self._moment(tuple(gamma))
         self._memo[alpha] = total
         return total
+
+
+
+def family_eks_pointwise(family, kmax: int, delta: float):
+    """The family evaluator's former per-gamma route, as a reference.
+
+    Builds the raw trace polynomials ``T_j(gamma)`` as the evaluator does,
+    and per gamma evaluates them, normalizes ``T_j / T_1^j`` and runs
+    Newton's identities (``spectral.elementary_symmetric``) on the values.
+    The returned callable gives the ``FAMILY_DPS``-digit values.
+    """
+    from polygauss.spectral import FAMILY_DPS, chain_form, elementary_symmetric
+
+    n = family.n
+    to_mp = np.vectorize(mpmath.mpf, otypes=[object])
+    with mpmath.workdps(FAMILY_DPS):
+        shift = to_mp(delta * np.eye(n))
+        a = to_mp(family.base_triple.a) + shift
+        c = to_mp(family.base_triple.c) + shift
+        exponent_matrix = np.block([[a + c, c - a], [c - a, a + c]])
+        poly = MultiPoly(
+            family.poly_gamma.nvars,
+            {e: mpmath.mpf(co.real) for e, co in family.poly_gamma.terms.items()},
+        )
+        traces = []
+        for j in range(1, kmax + 1):
+            form = chain_form(poly, exponent_matrix, j).integrate(range(j * n))
+            traces.append(form.poly * form.scale)
+
+    def eks_at(gamma: float) -> list:
+        with mpmath.workdps(FAMILY_DPS):
+            g = (mpmath.mpf(gamma),)
+            raw = [trace(g) for trace in traces]
+            if raw[0] <= 0:
+                raise ValueError(f"non-positive trace at gamma={gamma}")
+            return list(elementary_symmetric([r / raw[0] ** j for j, r in enumerate(raw, 1)]))
+
+    return eks_at
+
+
+@dataclass(frozen=True)
+class WignerForm:
+    """Phase-space image ``scale * poly(x, p) * exp(-(x, p)^T quad (x, p))``."""
+
+    n: int
+    poly: MultiPoly  # over (x_1..x_n, p_1..p_n)
+    quad: np.ndarray  # real SPD 2n x 2n
+    scale: complex
+
+    def evaluate(self, x, p) -> complex:
+        v = np.concatenate([np.atleast_1d(x), np.atleast_1d(p)]).astype(float)
+        return complex(self.scale * self.poly(v) * np.exp(-(v @ self.quad @ v)))
+
+
+def wigner_transform(kernel: PolyGaussianKernel) -> WignerForm:
+    """Phase-space transform of a kernel.
+
+    Integrates ``(2 pi)^{-n} exp(-i p^T y) kernel(x + y/2, x - y/2)`` over y
+    in closed form.  The Gaussian part of the output matches
+    :func:`polygauss.gaussian.phase_space_form` and the polynomial part has
+    degree at most the kernel polynomial's.
+    """
+    n = kernel.n
+    # Ring layout: [y (internal), x, p].
+    nv = 3 * n
+    sel = np.zeros((2 * n, nv), dtype=complex)
+    for i in range(n):
+        sel[i, i] = 0.5  # x_old_i = x_i + y_i / 2
+        sel[i, n + i] = 1.0
+        sel[n + i, i] = -0.5  # y_old_i = x_i - y_i / 2
+        sel[n + i, n + i] = 1.0
+    quad = sel.T @ kernel.exponent_matrix() @ sel
+    # exp(-i p^T y) contributes the bilinear exponent term -(y^T (i I) p).
+    for i in range(n):
+        quad[i, 2 * n + i] += 0.5j
+        quad[2 * n + i, i] += 0.5j
+    poly = kernel.poly.compose_affine(sel)
+    scale = kernel.norm * (2.0 * np.pi) ** (-n)
+    form = wick.GaussianForm(poly, quad, np.zeros(nv, dtype=complex), 0j, scale)
+    reduced = form.integrate(range(n))
+
+    g = reduced.quad
+    if float(np.max(np.abs(g.imag))) > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
+        raise numerics.IndefiniteMatrixError("phase-space quadratic form came out complex")
+    if float(np.max(np.abs(reduced.lin))) > 1e-9:
+        raise numerics.IndefiniteMatrixError("phase-space form has a stray linear term")
+    scalar = reduced.scale * np.exp(reduced.const)
+    return WignerForm(n, reduced.poly, numerics.as_real_symmetric(g.real, rtol=1e-9), scalar)
+
+
+def wigner_inverse(w: WignerForm) -> PolyGaussianKernel:
+    """Invert :func:`wigner_transform` back to a position-representation kernel.
+
+    Integrates ``w((x + y)/2, p) exp(i p^T (x - y))`` over p.
+    """
+    n = w.n
+    # Ring layout: [p (internal), x, y].
+    nv = 3 * n
+    sel = np.zeros((2 * n, nv), dtype=complex)
+    for i in range(n):
+        sel[i, n + i] = 0.5  # x-argument = (x_i + y_i) / 2
+        sel[i, 2 * n + i] = 0.5
+        sel[n + i, i] = 1.0  # p-argument = p_i
+    quad = sel.T @ w.quad.astype(complex) @ sel
+    # exp(i p^T (x - y)) contributes -(p^T (-i I) x) and -(p^T (i I) y).
+    for i in range(n):
+        quad[i, n + i] += -0.5j
+        quad[n + i, i] += -0.5j
+        quad[i, 2 * n + i] += 0.5j
+        quad[2 * n + i, i] += 0.5j
+    poly = w.poly.compose_affine(sel)
+    form = wick.GaussianForm(poly, quad, np.zeros(nv, dtype=complex), 0j, w.scale)
+    reduced = form.integrate(range(n))
+    return wick._form_to_kernel(reduced, rtol=1e-8)

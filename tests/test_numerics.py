@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -108,6 +109,43 @@ def test_complex_sqrt_det_continuity():
 def test_complex_sqrt_det_rejects_left_half_plane():
     with pytest.raises(numerics.IndefiniteMatrixError):
         numerics.complex_sqrt_det(np.diag([-1.0 + 0j, 1.0]))
+
+
+def _mp_matrix(a: np.ndarray) -> np.ndarray:
+    return np.array([[mpmath.mpf(v) for v in row] for row in a], dtype=object)
+
+
+def test_mp_inverse_matches_lu_inverse():
+    rng = np.random.default_rng(5)
+    with mpmath.workdps(100):
+        for size in range(1, 7):
+            for _ in range(3):
+                g = rng.normal(size=(size, size))
+                m = _mp_matrix(g @ g.T + 0.5 * np.eye(size))
+                got = numerics.inverse(m)
+                ref = mpmath.inverse(mpmath.matrix(m.tolist()))
+                scale = max(abs(ref[i, j]) for i in range(size) for j in range(size))
+                for i in range(size):
+                    for j in range(size):
+                        assert type(got[i, j]) is mpmath.mpf
+                        assert got[i, j] == got[j, i]
+                        assert abs(got[i, j] - ref[i, j]) <= mpmath.mpf("1e-90") * scale
+
+
+def test_mp_inverse_rejects_a_matrix_that_is_not_positive_definite():
+    with mpmath.workdps(100):
+        for a in ([[1.0, 2.0], [2.0, 1.0]], [[-1.0]], [[1.0, 0.0], [0.0, 0.0]]):
+            with pytest.raises(numerics.IndefiniteMatrixError):
+                numerics.inverse(_mp_matrix(np.array(a)))
+
+
+def test_float_inverse_is_numpy_inverse():
+    rng = np.random.default_rng(6)
+    for size in range(1, 7):
+        m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        m = m + m.T + 2 * size * np.eye(size)
+        assert np.array_equal(numerics.inverse(m), np.linalg.inv(m))
+        assert np.array_equal(numerics.inverse(m.real), np.linalg.inv(m.real))
 
 
 def test_bracket_root_linear():

@@ -63,6 +63,23 @@ def test_mpmath_coefficients_keep_their_type_and_are_never_pruned():
         assert p.rename_vars(3, [2, 0]).terms == {(0, 0, 1): 1, (1, 0, 0): tiny}
 
 
+def test_scalar_factors_and_divisors_keep_the_coefficient_type():
+    with mpmath.workdps(50):
+        p = MultiPoly(1, {(0,): mpmath.mpf(3), (2,): mpmath.mpf("0.5")})
+        for r in (2 * p, p * -1, p * 2.0, p / 3, p / 2.0):
+            assert all(type(c) is mpmath.mpf for c in r.terms.values())
+        assert (p / 3).terms[(0,)] == 1
+        assert (p / 3).terms[(2,)] == mpmath.mpf("0.5") / 3
+        assert (p * 1j).terms[(0,)] == mpmath.mpc(0, 3)
+    q = MultiPoly(2, {(1, 0): 3 + 1j, (0, 1): 0.1, (1, 1): -2.5j})
+    for s in (3, -1, 0.7, 1.5 + 2j):
+        assert (q * s).terms == {e: s * c for e, c in q.terms.items()}
+        assert all(type(c) is complex for c in (s * q).terms.values())
+        assert (q / s).terms == {e: c / s for e, c in q.terms.items()}
+    with pytest.raises(TypeError):
+        q / q
+
+
 def test_self_adjointness_examples():
     assert MultiPoly(2, {(1, 1): 1.0}).is_self_adjoint()
     assert MultiPoly(2, {(1, 0): 1j, (0, 1): -1j}).is_self_adjoint()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.integrate
 from conftest import (
     elementary_symmetric_det,
     elementary_symmetric_from_eigenvalues,
+    family_eks_pointwise,
     mercer_search_reference,
     random_kernel_valid_triple,
     random_kernel,
@@ -115,6 +117,24 @@ def test_moment_caps():
     quartic = PolyGaussianKernel(quartic, GaussianTriple.from_scalars(1.5, 1.0))
     with pytest.raises(ValueError):
         spectral.moment(quartic, 5)
+
+
+def test_positivity_sweep_fails_fast_at_the_degree_cap(monkeypatch):
+    quartic = MultiPoly(2, {(2, 2): 1.0})
+    quartic = PolyGaussianKernel(quartic, GaussianTriple.from_scalars(1.5, 1.0))
+    with pytest.raises(ValueError) as direct:
+        spectral.moment(quartic, 5)
+    calls = []
+    moment = spectral.moment
+    monkeypatch.setattr(spectral, "moment", lambda kernel, j: calls.append(j) or moment(kernel, j))
+    for kmax in (5, 7):  # the message names the first order over the cap
+        with pytest.raises(ValueError, match=f"^{re.escape(str(direct.value))}$"):
+            spectral.positivity_sweep(quartic, kmax)
+    with pytest.raises(ValueError, match="^moment order 9 exceeds the maximum 8$"):
+        spectral.positivity_sweep(kappa_gamma_kernel(1.0), 9)
+    assert calls == []
+    spectral.positivity_sweep(quartic, 4)
+    assert calls == [1, 2, 3, 4]
 
 
 def test_z_root_table_rows():
@@ -443,6 +463,71 @@ def test_family_evaluator_matches_full_chain_build(monkeypatch):
                 full = fam.ek_evaluator(k, delta)
             for gamma in gammas:
                 assert np.array_equal(folded(gamma), full(gamma)), (k, delta, gamma)
+
+
+def test_family_evaluator_matches_pointwise_newton_route(monkeypatch):
+    # The compiled evaluator (Newton's identities once, on the trace
+    # polynomials, then exact Horner per gamma) against Newton's identities run
+    # per gamma on the normalized trace values.  The terms that cancel in
+    # e_k are of the size of e_1^k = 1, so both routes carry an absolute
+    # error near 1e-100; e_5 at delta = 1e5 is about 1e-57 and keeps only
+    # some 45 correct digits either way, so the 100-digit values are
+    # compared on the scale e_1^k, and the returned floats bit for bit.
+    exact = []
+    compiled = spectral._family_eks
+
+    def recorded(coeffs, gamma):
+        exact.append(compiled(coeffs, gamma))
+        return exact[-1]
+
+    monkeypatch.setattr(spectral, "_family_eks", recorded)
+    fam = kappa_gamma_family()
+    root = 2.0 + math.sqrt(5.5)  # the k = 3 threshold as delta -> infinity
+    near = [root - 1e-6, np.nextafter(root, 0.0), root, np.nextafter(root, 20.0), root + 1e-6]
+    gammas = list(np.linspace(0.0, 12.0, 13)) + near
+    for k in (3, 4, 5):
+        for delta in (0.0, 250.0, 1e4, 1e5):
+            evaluator = fam.ek_evaluator(k, delta)
+            reference = family_eks_pointwise(fam, k, delta)
+            for gamma in gammas:
+                exact.clear()
+                got = evaluator(gamma)
+                want = reference(gamma)
+                assert np.array_equal(got, np.array([float(v) for v in want])), (k, delta, gamma)
+                (values,) = exact
+                assert values[0] == want[0] == 1
+                with mpmath.workdps(spectral.FAMILY_DPS):
+                    for v, w in zip(values, want):
+                        assert abs(v - w) <= mpmath.mpf("1e-90"), (k, delta, gamma)
+
+
+def test_exact_horner_matches_pointwise_polynomial_values():
+    with mpmath.workdps(spectral.FAMILY_DPS):
+        third = mpmath.mpf(1) / 3
+        polys = [
+            MultiPoly(1, {(0,): 1 + third, (1,): mpmath.mpf(2)}),
+            # a zero linear coefficient and a tiny one between large ones
+            MultiPoly(1, {(0,): -third, (2,): mpmath.mpf("1e-30"), (3,): mpmath.mpf(7)}),
+            MultiPoly.zero(1),
+        ]
+        coeffs = [spectral._horner_coefficients(p) for p in polys]
+        for gamma in (0.0, -0.5, 0.1, 2.75, 1e5):
+            got = spectral._family_eks(coeffs, gamma)
+            g = (mpmath.mpf(gamma),)
+            t = polys[0](g)
+            for k, (p, v) in enumerate(zip(polys, got), 1):
+                ref = p(g) / t**k
+                assert abs(v - ref) <= mpmath.mpf("1e-95") * abs(ref), (k, gamma)
+        with pytest.raises(ValueError, match="non-positive trace"):
+            spectral._family_eks(coeffs, -1.0)
+
+
+def test_family_evaluator_rejects_non_positive_trace():
+    # The raw trace is proportional to 2 + 2 delta + gamma.
+    evaluator = kappa_gamma_family().ek_evaluator(3, 0.0)
+    assert evaluator(-1.5)[0] == 1.0
+    with pytest.raises(ValueError, match="non-positive trace"):
+        evaluator(-2.5)
 
 
 def _orbit_key(poly: MultiPoly, n: int, j: int) -> tuple:

@@ -11,6 +11,8 @@ from conftest import (
     gauss_hermite_oracle,
     random_kernel,
     random_kernel_valid_triple,
+    wigner_inverse,
+    wigner_transform,
 )
 from polygauss import gaussian, wick
 from polygauss.gaussian import GaussianTriple
@@ -273,7 +275,7 @@ def test_wigner_transform_matches_phase_space_form():
         n = int(rng.integers(1, 3))
         t = random_kernel_valid_triple(rng, n)
         k = PolyGaussianKernel.pure_gaussian(t)
-        w = wick.wigner_transform(k)
+        w = wigner_transform(k)
         g_ref, c_ref = gaussian.phase_space_form(t)
         assert np.max(np.abs(w.quad - g_ref)) < 1e-9 * max(1.0, np.max(np.abs(g_ref)))
         assert abs(w.scale - c_ref) < 1e-9 * c_ref
@@ -283,7 +285,7 @@ def test_wigner_transform_matches_phase_space_form():
 def test_wigner_polynomial_degree_and_oscillator_case():
     p = MultiPoly(2, {(1, 1): 1.0})
     k = PolyGaussianKernel(p, GaussianTriple.from_scalars(1.0, 1.0))
-    w = wick.wigner_transform(k)
+    w = wigner_transform(k)
     assert w.poly.degree() == 2
     # Cross-check against direct numerical evaluation of the defining
     # oscillatory integral at a few phase-space points.
@@ -302,7 +304,7 @@ def test_wigner_round_trip():
     for _ in range(6):
         n = int(rng.integers(1, 3))
         k = random_kernel(rng, n, terms=3, max_deg=2)
-        back = wick.wigner_inverse(wick.wigner_transform(k))
+        back = wigner_inverse(wigner_transform(k))
         for _ in range(4):
             x, y = rng.normal(size=n), rng.normal(size=n)
             v1, v2 = k.evaluate(x, y), back.evaluate(x, y)
