@@ -185,21 +185,44 @@ def eval_gaussian(triple: GaussianTriple, x, y) -> complex:
 def eval_gaussian_grid(triple: GaussianTriple, points: np.ndarray) -> np.ndarray:
     """Vectorized kernel values over all row pairs of ``points`` (k, n).
 
-    A stack of point sets (..., k, n) gives a (..., k, k) stack whose slices
+    The exponent is assembled from per-point quantities: with ``d = x - y``
+    and ``s = x + y``,
+
+        d'Ad + s'Cs = q(x) + q(y) + 2 x'(C - A)y,   q(x) = x'(A + C)x,
+        d'Bs        = b(x) - b(y) + x'(B - B')y,     b(x) = x'Bx,
+
+    so the pair terms are ``n`` broadcast products of (k, k) arrays rather
+    than contractions over (k, k, n) difference and sum arrays.  With
+    ``B = 0`` the exponential is taken in real arithmetic; the result is
+    complex either way.  Every sum runs elementwise in a fixed order, so a
+    stack of point sets (..., k, n) gives a (..., k, k) stack whose slices
     equal the 2-D call on each slice bit for bit.
     """
     triple.require_kernel_valid()
     pts = np.asarray(points, dtype=float)
     if pts.ndim < 2 or pts.shape[-1] != triple.n:
         raise ValueError("points must have shape (k, n) or (..., k, n)")
-    d = pts[..., :, None, :] - pts[..., None, :, :]
-    s = pts[..., :, None, :] + pts[..., None, :, :]
-    expo = (
-        -np.einsum("...ijk,kl,...ijl->...ij", d, triple.a, d)
-        - 1j * np.einsum("...ijk,kl,...ijl->...ij", d, triple.b, s)
-        - np.einsum("...ijk,kl,...ijl->...ij", s, triple.c, s)
-    )
-    return np.exp(expo)
+    a, b, c = triple.a, triple.b, triple.c
+    expo = -_pair_sum(pts, a + c, 2.0 * (c - a))
+    if not b.any():
+        return np.exp(expo).astype(complex)
+    return np.exp(expo - 1j * _pair_sum(pts, b, b - b.T, sign=-1.0))
+
+
+def _pair_sum(pts: np.ndarray, diag: np.ndarray, cross: np.ndarray, sign: float = 1.0):
+    """``f(x_i) + sign * f(x_j) + x_i' cross x_j`` over all row pairs, ``f(x) = x' diag x``."""
+    n = pts.shape[-1]
+    rows = [pts[..., k] for k in range(n)]
+
+    def times(m: np.ndarray) -> list[np.ndarray]:  # coordinates of x' m, row by row
+        return [sum(rows[k] * m[k, l] for k in range(n)) for l in range(n)]
+
+    f = sum(u * x for u, x in zip(times(diag), rows))
+    out = f[..., :, None] + sign * f[..., None, :]
+    if cross.any():
+        for u, x in zip(times(cross), rows):
+            out = out + u[..., :, None] * x[..., None, :]
+    return out
 
 
 # ----------------------------------------------------- exponent matrix forms

@@ -189,16 +189,19 @@ def _mercer_stage(kernel, config: PipelineConfig) -> tuple[str, dict]:
 
 
 def _ek_stage(kernel, kmax: int, delta: Optional[float] = None) -> tuple[str, dict]:
-    """The e_k sweep on the kernel itself, or on its delta-shifted equivalent."""
-    if delta is not None:
-        try:
-            shifted = spectral.delta_shifted_normalized(kernel, delta)
-        except ValueError as exc:
-            return "skipped", {"reason": str(exc)}
-        if not equiv(kernel.triple, shifted.triple):
-            return "skipped", {"reason": "shift left the equivalence class"}
-        kernel = shifted
+    """The e_k sweep on the kernel itself, or on its delta-shifted equivalent.
+
+    The sweep's order limits are checked first: they do not depend on the
+    shift, so a kernel over the degree cap skips every e_k stage without
+    computing a shifted trace.
+    """
     try:
+        spectral.check_sweep_reach(kernel, kmax)
+        if delta is not None:
+            shifted = spectral.delta_shifted_normalized(kernel, delta)
+            if not equiv(kernel.triple, shifted.triple):
+                return "skipped", {"reason": "shift left the equivalence class"}
+            kernel = shifted
         report = spectral.positivity_sweep(kernel, kmax)
     except ValueError as exc:
         return "skipped", {"reason": str(exc)}
@@ -257,16 +260,39 @@ def verify_certificate(spec: ParsedSpec, certificate: dict) -> bool:
     if kind == "gaussian_gate":
         return not gaussian_positive(spec.triple).positive
     if kind == "mercer":
-        pts = np.asarray(certificate["points"], dtype=float)
-        raw = certificate["coeffs"]
-        coeffs = np.asarray(
-            [complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v) for v in raw]
-        )
-        value = spectral.verify_mercer_certificate(spec.kernel(), pts, coeffs)
-        return value < 0.0
+        return _recheck_mercer(spec.kernel(), certificate["points"], certificate["coeffs"])
     if kind == "ek_sweep":
         return _recheck_ek(spec.kernel(), float(certificate["delta"]), int(certificate["k"]))
     raise ValueError(f"unknown certificate kind {kind!r}")
+
+
+def _recheck_mercer(kernel, points, coeffs) -> bool:
+    """Re-check a Mercer claim by direct summation against the producer's threshold.
+
+    The claim must hold one finite point of width n per finite coefficient,
+    at least one of each; anything else is rejected.  The form
+    ``sum_ij c_i conj(c_j) kernel(x_i, x_j)`` is summed directly and must
+    fall below ``-MERCER_TOL * scale * |c|^2``, the search's certificate
+    threshold, with ``scale`` taken from the same direct ``kernel.evaluate``
+    values (:func:`spectral.direct_mercer_form`) rather than from the
+    stacked Gram route that produced the claim.
+    """
+    try:
+        pts = np.asarray(points, dtype=float)
+        cs = np.asarray(
+            [complex(*v) if isinstance(v, (list, tuple)) else complex(v) for v in coeffs]
+        )
+    except (TypeError, ValueError, IndexError):
+        return False
+    if pts.ndim != 2 or pts.shape[1] != kernel.n or not 0 < len(pts) == len(cs):
+        return False
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(cs))):
+        return False
+    norm2 = float(np.vdot(cs, cs).real)
+    if not norm2 > 0.0:
+        return False
+    value, scale = spectral.direct_mercer_form(kernel, pts, cs)
+    return bool(value / norm2 < -spectral.MERCER_TOL * scale)
 
 
 def _recheck_ek(kernel, delta: float, k: int) -> bool:

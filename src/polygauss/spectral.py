@@ -74,6 +74,7 @@ EK_TOL_BASE = 1e-9  # e_k certificate threshold scales as EK_TOL_BASE * max(1, |
 DELTA_INFINITY_PROXY = 1.0e4
 DELTA_INFINITY_CONFIRM = 1.0e5
 MERCER_MAX_BLOCK = 128  # trials per stacked Gram build; bounds its memory
+MERCER_TOL = 1e-9  # a Mercer certificate needs form / |c|^2 < -MERCER_TOL * scale
 # Decimal digits of the family sweep.  Large shifts cluster the eigenvalues
 # and drive the true e_k far below double-precision cancellation noise; at
 # delta = 1e5 the chain coefficients spread over 23 orders of magnitude.
@@ -254,14 +255,23 @@ def positivity_sweep(kernel: PolyGaussianKernel, kmax: int) -> SpectralReport:
     """Compute e_1..e_kmax and certify non-positivity at the first negative one.
 
     Every order is checked against the moment limits before any moment is
-    computed, so a sweep beyond them raises at once, naming the first order
-    out of reach.
+    computed (:func:`check_sweep_reach`), so a sweep beyond them raises at
+    once, naming the first order out of reach.
+    """
+    check_sweep_reach(kernel, kmax)
+    return sweep_report([moment(kernel, j) for j in range(1, kmax + 1)])
+
+
+def check_sweep_reach(kernel: PolyGaussianKernel, kmax: int) -> None:
+    """Raise the error :func:`positivity_sweep` gives when an order 1..kmax is out of reach.
+
+    The limits depend on the polynomial factor only, so they hold for every
+    shift and renormalisation of the kernel as well.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     for j in range(1, kmax + 1):
         _check_order(kernel, j)
-    return sweep_report([moment(kernel, j) for j in range(1, kmax + 1)])
 
 
 def sweep_report(moment_values: Sequence[float]) -> SpectralReport:
@@ -554,15 +564,30 @@ def verify_mercer_certificate(
     kernel: PolyGaussianKernel, points: np.ndarray, coeffs: np.ndarray
 ) -> float:
     """Direct summation of the positivity form (independent of the search path)."""
+    return direct_mercer_form(kernel, points, coeffs)[0]
+
+
+def direct_mercer_form(
+    kernel: PolyGaussianKernel, points: np.ndarray, coeffs: np.ndarray
+) -> tuple[float, float]:
+    """``sum_ij c_i conj(c_j) kernel(x_i, x_j)`` and the Gram scale, from direct evaluation.
+
+    Each pair is evaluated once with ``kernel.evaluate`` and the form is
+    summed pair by pair in row order; the scale is the search's
+    ``max(|tr G|, max |G_ij|)`` of the symmetrized matrix of those values.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     cs = np.asarray(coeffs, dtype=complex)
+    k = pts.shape[0]
+    gram = np.empty((k, k), dtype=complex)
     total = 0j
-    for i in range(pts.shape[0]):
-        for j in range(pts.shape[0]):
-            total += cs[i] * np.conj(cs[j]) * kernel.evaluate(pts[i], pts[j])
+    for i in range(k):
+        for j in range(k):
+            gram[i, j] = value = kernel.evaluate(pts[i], pts[j])
+            total += cs[i] * np.conj(cs[j]) * value
     if abs(total.imag) > 1e-8 * max(1.0, abs(total)):
         raise ConsistencyError(f"positivity form not real: {total!r}")
-    return total.real
+    return total.real, _gram_scale(0.5 * (gram + gram.conj().T))
 
 
 def mercer_search(
@@ -576,11 +601,24 @@ def mercer_search(
 
     Trial ``t`` samples a Gaussian point cloud from ``default_rng([seed, t])``
     and assembles its Hermitian kernel matrix.  Trials run in blocks of
-    doubling size (1, 2, 4, ...): one stacked Gram build and one stacked
-    ``eigvalsh`` screen a block, and only trials whose smallest eigenvalue
-    falls below half the certificate threshold go on, in trial order, to the
-    per-trial ``eigh`` test and the direct-summation re-verification.  The
-    screen is looser than that test, so the returned certificate, its
+    doubling size (1, 2, 4, ...), each with one stacked Gram build and a
+    two-step screen:
+
+    1. One batched Cholesky factorisation of every matrix shifted by half
+       the certificate threshold, ``G + 0.5 * MERCER_TOL * scale * I`` with
+       ``scale = max(|tr G|, max |G_ij|)``.  A factor that exists (with a
+       finite diagonal) proves ``G`` has no eigenvalue below
+       ``-0.5 * MERCER_TOL * scale`` up to Cholesky's backward error, about
+       ``k * eps * |G|``, far inside the factor-2 gap to the certificate
+       threshold ``-MERCER_TOL * scale``; so no trial of the block can pass
+       the per-trial test and the block is dropped.
+    2. If any matrix of the block fails to factor, one stacked ``eigvalsh``
+       screens that block, and only trials whose smallest eigenvalue falls
+       below half the certificate threshold (or is NaN, or all of them if
+       the solver raises) go on, in trial order, to the per-trial ``eigh``
+       test and the direct-summation re-verification.
+
+    Both steps are looser than that test, so the returned certificate, its
     ``trial`` index included, is the one a trial-by-trial search finds.
     ``None`` means no violation was found within the budget; it is not a
     positivity proof.
@@ -591,6 +629,7 @@ def mercer_search(
     start, size = 0, 1
     while start < trials:
         block = range(start, min(start + size, trials))
+        start, size = block.stop, min(2 * size, MERCER_MAX_BLOCK)
         clouds = [
             cloud_scale
             * factors[trial % len(factors)]
@@ -602,18 +641,36 @@ def mercer_search(
         scales = np.maximum(
             np.abs(np.trace(grams, axis1=-2, axis2=-1)), np.max(np.abs(grams), axis=(-2, -1))
         )
+        if _factors_with_shift(grams, 0.5 * MERCER_TOL * scales):
+            continue
         try:
             lowest = np.linalg.eigvalsh(grams)[:, 0]
         except np.linalg.LinAlgError:
             lowest = np.full(len(block), np.nan)  # no screen: every trial is a candidate
         # A trial is dropped only when the screen shows it clear of the
         # threshold; NaN marks stay candidates, as the per-trial test decides them.
-        for i in np.flatnonzero(~(lowest >= -0.5e-9 * scales)):
+        for i in np.flatnonzero(~(lowest >= -0.5 * MERCER_TOL * scales)):
             cert = _mercer_trial(kernel, clouds[i], grams[i], block[i])
             if cert is not None:
                 return cert
-        start, size = block.stop, min(2 * size, MERCER_MAX_BLOCK)
     return None
+
+
+def _factors_with_shift(grams: np.ndarray, shifts: np.ndarray) -> bool:
+    """True iff every ``grams[t] + shifts[t] * I`` has a Cholesky factor with a finite diagonal.
+
+    ``np.linalg.cholesky`` does not raise on a NaN entry; it returns a factor
+    with NaN in it.  A non-finite entry in the lower triangle of a row
+    reaches that row's diagonal pivot, and the matrices are Hermitian, so
+    the diagonal check keeps a non-finite matrix from counting as factored.
+    """
+    shifted = grams.copy()
+    np.einsum("...ii->...i", shifted)[...] += shifts[:, None]
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(np.einsum("...ii->...i", factor)).all())
 
 
 def _mercer_trial(
@@ -621,13 +678,17 @@ def _mercer_trial(
 ) -> Optional[MercerCertificate]:
     """The exact test of one trial's symmetrized kernel matrix."""
     vals, vecs = np.linalg.eigh(gram)
-    scale = max(float(np.abs(np.trace(gram))), float(np.max(np.abs(gram))), 1e-300)
-    if vals[0] < -1e-9 * scale:
+    scale = _gram_scale(gram)
+    if vals[0] < -MERCER_TOL * scale:
         coeffs = np.conj(vecs[:, 0])
         value = verify_mercer_certificate(kernel, pts, coeffs)
-        if value < -1e-9 * scale:
+        if value < -MERCER_TOL * scale:
             return MercerCertificate(pts, coeffs, value, float(vals[0]), trial)
     return None
+
+
+def _gram_scale(gram: np.ndarray) -> float:
+    return max(float(np.abs(np.trace(gram))), float(np.max(np.abs(gram))), 1e-300)
 
 
 # ---------------------------------------------------------- Nystrom oracle

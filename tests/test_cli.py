@@ -342,3 +342,82 @@ def test_ek_certificate_with_an_unreachable_k_is_rejected():
     assert quartic.poly.degree() == 4
     quartic_spec = parse_kernel_spec(serialize_kernel_spec(quartic))
     assert verify_certificate(quartic_spec, {**cert, "k": 5}) is False
+
+
+def test_degree_capped_kernel_skips_every_ek_stage_without_a_moment(monkeypatch):
+    # The order limits do not depend on the shift, so a degree-4 kernel at
+    # kmax 5 skips the e_k stage and all three delta stages before any
+    # (shifted) trace is integrated.
+    quartic = _schur_kernel(np.random.default_rng(5), 2, [(0, 0), (1, 1)])
+    spec = parse_kernel_spec(serialize_kernel_spec(quartic))
+    calls = []
+    moment = spectral.moment
+    monkeypatch.setattr(spectral, "moment", lambda kernel, j: calls.append(j) or moment(kernel, j))
+    report = run_pipeline(spec, PipelineConfig(kmax=5, trials=0))
+    assert calls == []
+    sweeps = report.stages[4:]
+    assert [s.name for s in sweeps] == [
+        "ek_sweep", "delta_sweep(delta=10)", "delta_sweep(delta=100)", "delta_sweep(delta=1000)"
+    ]
+    for stage in sweeps:
+        assert stage.status == "skipped"
+        assert stage.payload == {"reason": "chain prefactor degree 20 exceeds the degree cap 16"}
+    run_pipeline(spec, PipelineConfig(kmax=4, trials=0, deltas=(10.0,)))
+    assert calls == [1, 2, 3, 4, 1, 1, 2, 3, 4]  # the delta stage normalises by M_1 first
+
+
+def _mercer_claim():
+    spec = parse_kernel_spec(serialize_kernel_spec(kappa_gamma_kernel(6.5)))
+    report = run_pipeline(spec, PipelineConfig(kmax=3))
+    assert report.certificate_stage == "mercer_search"
+    return spec, json.loads(json.dumps(report.to_dict()))["certificate"]
+
+
+def test_mercer_certificate_recheck_rejects_malformed_claims(monkeypatch):
+    spec, cert = _mercer_claim()
+    assert verify_certificate(spec, cert) is True
+    points, coeffs = cert["points"], cert["coeffs"]
+    assert len(points) == len(coeffs) == 20
+    nan_point = [list(p) for p in points]
+    nan_point[3][0] = float("nan")
+    malformed = [
+        {"coeffs": coeffs[:-1]},  # 19 coefficients for 20 points
+        {"points": points[:-1]},
+        {"points": [], "coeffs": []},
+        {"points": []},
+        {"points": [p + p for p in points]},  # width 2 for n = 1
+        {"points": [p[0] for p in points]},  # a flat list is not a point set
+        {"points": nan_point},
+        {"points": [[float("inf")]] + points[1:]},
+        {"coeffs": [[float("nan"), 0.0]] + coeffs[1:]},
+        {"coeffs": [[0.0, float("inf")]] + coeffs[1:]},
+        {"coeffs": [[0.0, 0.0]] * 20},
+        {"coeffs": [[1.0, 0.0, 2.0]] + coeffs[1:]},
+        {"coeffs": ["x"] + coeffs[1:]},
+    ]
+    def unreachable(*args):
+        raise AssertionError("a malformed claim reached the kernel")
+
+    monkeypatch.setattr(PolyGaussianKernel, "evaluate", unreachable)
+    for change in malformed:  # rejected before any kernel value is computed
+        assert verify_certificate(spec, {**cert, **change}) is False, change
+
+
+def test_mercer_certificate_recheck_applies_the_search_threshold(monkeypatch):
+    # The re-check demands value / |c|^2 < -1e-9 * scale, the threshold the
+    # search certified against, with the scale from direct kernel values; a
+    # rescaled coefficient vector makes the same claim.
+    spec, cert = _mercer_claim()
+    cert = {**cert, "coeffs": [[3.0 * re, 3.0 * im] for re, im in cert["coeffs"]]}
+    assert verify_certificate(spec, cert) is True
+    pts = np.asarray(cert["points"])
+    cs = np.array([complex(*v) for v in cert["coeffs"]])
+    gram = np.array([[spec.kernel().evaluate(x, y) for y in pts] for x in pts])
+    gram = 0.5 * (gram + gram.conj().T)
+    scale = max(abs(np.trace(gram)), np.max(np.abs(gram)))
+    assert spectral.direct_mercer_form(spec.kernel(), pts, cs)[1] == scale
+    norm2 = float(np.vdot(cs, cs).real)
+    for factor, expected in ((0.5, False), (2.0, True)):
+        value = -factor * 1e-9 * scale * norm2
+        monkeypatch.setattr(spectral, "direct_mercer_form", lambda *args: (value, scale))
+        assert verify_certificate(spec, cert) is expected, factor

@@ -26,6 +26,32 @@ def test_eval_gaussian_self_adjoint_and_bounded():
         assert abs(v_xy) <= 1.0 + 1e-15
 
 
+def test_eval_gaussian_grid_matches_per_pair_evaluation():
+    # The grid assembles its exponent from per-point forms and broadcast
+    # products; it must agree with the direct d/s form at every pair, also
+    # when A and C differ by three orders of magnitude (either way round) and
+    # B has symmetric and antisymmetric parts.
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        upper = np.triu(np.ones((n, n)), 1)
+        b_full = 0.6 * np.eye(n) + 0.9 * (upper - upper.T)
+        for ratio in (1e3, 1e-3):
+            base = random_kernel_valid_triple(rng, n)
+            a, c = (ratio * base.c, base.c) if ratio > 1 else (base.c, base.c / ratio)
+            assert np.isclose(min_eigenvalue(a) / min_eigenvalue(c), ratio)
+            spread = 0.5 / np.sqrt(min_eigenvalue(c))  # the Mercer search's cloud scale
+            pts = spread * rng.standard_normal((3, 9, n)) * np.array([1.0, 0.5, 2.0])[:, None, None]
+            for b in (np.zeros((n, n)), 0.5 * (b_full + b_full.T), b_full):
+                t = GaussianTriple(a, b, c)
+                grid = gaussian.eval_gaussian_grid(t, pts)
+                assert grid.dtype == complex
+                direct = np.array([
+                    [[gaussian.eval_gaussian(t, x, y) for y in cloud] for x in cloud]
+                    for cloud in pts
+                ])
+                assert np.max(np.abs(grid - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_phase_space_form_examples():
     g, _ = gaussian.phase_space_form(GaussianTriple.from_scalars(1.0, 1.0))
     assert np.allclose(g, np.diag([4.0, 0.25]))

@@ -16,6 +16,7 @@ from conftest import (
     random_self_adjoint_poly,
 )
 from polygauss import spectral
+from polygauss.entangle import entangled_fixture
 from polygauss.families import (
     caldeira_kernel,
     kappa_gamma_family,
@@ -248,6 +249,106 @@ def test_mercer_search_without_screen_matches_reference(monkeypatch):
     got = spectral.mercer_search(k, points_per_trial=4, seed=3)
     _assert_same_certificate(got, mercer_search_reference(k, points_per_trial=4, seed=3))
     assert got.trial == 15
+
+
+def test_mercer_search_without_cholesky_matches_reference(monkeypatch):
+    # A block whose shifted Cholesky fails falls back to the eigvalsh screen;
+    # with every factorisation failing, that screen alone must give the
+    # trial-by-trial certificate.
+    def fail(_):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    k = kappa_gamma_kernel(4.2)
+    got = spectral.mercer_search(k, points_per_trial=4, seed=3)
+    _assert_same_certificate(got, mercer_search_reference(k, points_per_trial=4, seed=3))
+    assert got.trial == 15
+
+
+def _spy_stacked_eigvalsh(monkeypatch) -> list:
+    """Record the shape of every stacked ``np.linalg.eigvalsh`` call."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a):
+        if a.ndim == 3:
+            shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+def test_mercer_search_on_psd_kernels_never_runs_the_stacked_eigensolver(monkeypatch):
+    # Every Gram matrix of a PSD kernel factors after the half-threshold
+    # shift, the rank-one ones of an oscillator eigenstate included, so no
+    # block reaches the stacked eigvalsh screen or the per-trial test.
+    stacked, trials = _spy_stacked_eigvalsh(monkeypatch), []
+    trial = spectral._mercer_trial
+    monkeypatch.setattr(
+        spectral, "_mercer_trial", lambda *args: trials.append(args[3]) or trial(*args)
+    )
+    psd = (caldeira_kernel(2, 1.3), PolyGaussianKernel.pure_gaussian(entangled_fixture()))
+    for kernel in psd:
+        assert spectral.mercer_search(kernel, trials=200) is None
+    assert stacked == [] and trials == []
+
+
+def test_mercer_screen_boundaries_are_half_the_certificate_threshold(monkeypatch):
+    # Synthetic Gram stacks with one eigenvalue placed relative to
+    # scale = max(|tr G|, max |G_ij|): at -0.4e-9 * scale the shifted
+    # Cholesky clears the block, so eigvalsh never sees it; at -1.2e-9 * scale
+    # (past the certificate threshold) the block goes to eigvalsh and the
+    # trial to the per-trial test.
+    rng = np.random.default_rng(8)
+    k = 20
+    unitary, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    placed = {4: -0.4e-9, 9: -1.2e-9}
+    next_trial = [0]
+
+    def synthetic(self, points):  # one Gram matrix per point cloud, trials in order
+        out = []
+        for _ in points:
+            vals = np.ones(k)
+            vals[-1] = placed.get(next_trial[0], 1.0) * (k - 1)  # scale = |tr G| ~ k - 1
+            out.append((unitary * vals) @ unitary.conj().T)
+            next_trial[0] += 1
+        return np.array(out)
+
+    stacked, trials = _spy_stacked_eigvalsh(monkeypatch), []
+    monkeypatch.setattr(PolyGaussianKernel, "gram", synthetic)
+    monkeypatch.setattr(spectral, "_mercer_trial", lambda *args: trials.append(args[3]))
+    assert spectral.mercer_search(caldeira_kernel(0, 1.0), trials=16) is None
+    assert stacked == [(8, k, k)] and trials == [9]
+
+
+def test_mercer_search_keeps_a_non_finite_trial_a_candidate(monkeypatch):
+    # A NaN in one Gram slice makes the Cholesky screen inconclusive for its
+    # block (numpy's factorisation does not raise on NaN; the non-finite
+    # pivot is what shows it), so the per-trial test still sees that trial.
+    kernel = caldeira_kernel(1, 0.9)
+    gram = PolyGaussianKernel.gram
+
+    def poisoned(self, points):
+        out = gram(self, points)
+        if out.ndim == 3 and out.shape[0] == 8:  # the block of trials 7..14
+            out[3, 2, 1] = np.nan
+        return out
+
+    seen = []
+    monkeypatch.setattr(PolyGaussianKernel, "gram", poisoned)
+    monkeypatch.setattr(spectral, "_mercer_trial", lambda *args: seen.append(args[3]))
+    assert spectral.mercer_search(kernel, trials=30) is None
+    assert 10 in seen
+
+    clean = np.stack([np.eye(3, dtype=complex)] * 2)
+    assert spectral._factors_with_shift(clean, np.zeros(2))
+    for bad in (np.nan, np.inf):
+        dirty = clean.copy()
+        dirty[1, 2, 0] = dirty[1, 0, 2] = bad
+        assert not spectral._factors_with_shift(dirty, np.zeros(2))
+        dirty = clean.copy()
+        dirty[1, 1, 1] = bad
+        assert not spectral._factors_with_shift(dirty, np.zeros(2))
 
 
 def test_stacked_grid_evaluators_match_per_slice_calls():
