@@ -14,11 +14,12 @@ entangled, 2 input error, 3 internal consistency failure):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import families, spectral
 from .entangle import npt_gate
@@ -33,16 +34,55 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _parse_floats(text: str) -> list[float]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        out.append(math.inf if piece.lower() in ("inf", "infinity") else float(piece))
-    if not out:
-        raise ValueError("empty list")
-    return out
+def _delta_list(allow_inf: bool) -> Callable[[str], list[float]]:
+    """argparse type: comma-separated finite shifts, and ``inf`` (the limit) if allowed."""
+
+    def parse(text: str) -> list[float]:
+        out = []
+        for piece in text.split(","):
+            piece = piece.strip()
+            if piece:
+                out.append(math.inf if piece.lower() in ("inf", "infinity") else float(piece))
+        if not out:
+            raise ValueError("empty list")
+        if not all(math.isfinite(d) or (allow_inf and d == math.inf) for d in out):
+            kinds = "finite or inf" if allow_inf else "finite"
+            raise argparse.ArgumentTypeError(f"shifts must be {kinds}, got {text!r}")
+        return out
+
+    parse.__name__ = "delta list"
+    return parse
+
+
+def _int_in(lo: int, hi: Optional[int] = None) -> Callable[[str], int]:
+    """argparse type: an integer in ``lo..hi``, or at least ``lo`` if ``hi`` is None."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bounds = f"between {lo} and {hi}" if hi is not None else f"at least {lo}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _gamma_range(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+    except ValueError:
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(f"must be LO:HI with finite LO < HI, got {text!r}")
+    return lo, hi
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def _load_spec(path: str) -> ParsedSpec:
@@ -107,7 +147,7 @@ def cmd_check(args) -> int:
         kmax=args.kmax,
         trials=args.trials,
         seed=args.seed,
-        deltas=tuple(_parse_floats(args.deltas)),
+        deltas=tuple(args.deltas),
         escalate_npt=args.escalate,
     )
     report = run_pipeline(spec, config)
@@ -156,12 +196,11 @@ def cmd_preorder(args) -> int:
 
 
 def cmd_zscan(args) -> int:
-    lo, hi = (float(v) for v in args.gamma_range.split(":"))
     scan = spectral.delta_scan(
         families.kappa_gamma_family(),
         args.k,
-        _parse_floats(args.deltas),
-        gamma_range=(lo, hi),
+        args.deltas,
+        gamma_range=args.gamma_range,
         samples=args.samples,
         tol=args.tol,
     )
@@ -239,6 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Positivity and NPT entanglement screening for polynomial-Gaussian kernels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    moment_order = _int_in(1, spectral.MAX_MOMENT_ORDER)
+    count = _int_in(0)
 
     def common(p):
         p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -246,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the ordered positivity pipeline")
     p.add_argument("spec")
-    p.add_argument("--kmax", type=int, default=5)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deltas", default="10,100,1000")
+    p.add_argument("--kmax", type=moment_order, default=5)
+    p.add_argument("--trials", type=count, default=200)
+    p.add_argument("--seed", type=count, default=0)
+    p.add_argument("--deltas", type=_delta_list(allow_inf=False), default="10,100,1000")
     p.add_argument("--escalate", action="store_true", help="escalate the NPT info stage")
     common(p)
     p.set_defaults(fn=cmd_check)
@@ -266,20 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_preorder)
 
     p = sub.add_parser("zscan", help="e_k sign-change thresholds of the built-in quadratic family")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--deltas", default="0,10,50,250")
-    p.add_argument("--gamma-range", default="0:20")
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--k", type=moment_order, default=3)
+    p.add_argument("--deltas", type=_delta_list(allow_inf=True), default="0,10,50,250")
+    p.add_argument("--gamma-range", type=_gamma_range, default="0:20")
+    p.add_argument("--samples", type=_int_in(2), default=64)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     common(p)
     p.set_defaults(fn=cmd_zscan)
 
     p = sub.add_parser("npt", help="NPT entanglement screen (spec must carry a partition)")
     p.add_argument("spec")
     p.add_argument("--escalate", action="store_true")
-    p.add_argument("--kmax", type=int, default=5)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kmax", type=moment_order, default=5)
+    p.add_argument("--trials", type=count, default=200)
+    p.add_argument("--seed", type=count, default=0)
     common(p)
     p.set_defaults(fn=cmd_npt)
 
@@ -294,10 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

@@ -8,8 +8,9 @@ The exact-integration engine runs on two number types, and the inputs
 choose which: complex (or real) float64 arrays, or numpy object arrays of
 ``mpmath`` numbers.  The few dense operations that differ between the two
 (symmetry and positive-definiteness checks, inverse, square root of a
-determinant, pi) live here; the mpmath branch of the square-root
-determinant takes real matrices only.
+determinant, pi) live here; the mpmath branches of the inverse and the
+square-root determinant take real matrices only, and share one Cholesky
+factor when both are needed (:func:`sqrt_det_and_inverse`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "min_eigenvalue",
     "pi",
     "psd_sqrt",
+    "sqrt_det_and_inverse",
     "sym_eig",
 ]
 
@@ -83,31 +85,54 @@ def inverse(m: np.ndarray) -> np.ndarray:
     """Matrix inverse, in the number type of ``m``.
 
     An mpmath matrix must be real symmetric positive definite, as the
-    internal block of :meth:`polygauss.wick.GaussianForm.integrate` is once
-    :func:`complex_sqrt_det` has accepted it: the inverse is
-    ``L^{-T} L^{-1}`` from the Cholesky factor ``L``, the same factorisation
-    that determinant uses, and comes out exactly symmetric.  A float64
-    matrix is inverted by ``np.linalg.inv``.
+    internal block of :meth:`polygauss.wick.GaussianForm.integrate` is: the
+    inverse is ``L^{-T} L^{-1}`` from the Cholesky factor ``L``, the same
+    factorisation that :func:`complex_sqrt_det` uses, and comes out exactly
+    symmetric.  A float64 matrix is inverted by ``np.linalg.inv``.
     """
     if is_mp(m):
-        low = _mp_cholesky(m).tolist()
-        size = len(low)
-        # Forward substitution for the lower-triangular X = L^{-1}, column by column.
-        x = [[0] * size for _ in range(size)]
-        for j in range(size):
-            x[j][j] = 1 / low[j][j]
-            for i in range(j + 1, size):
-                x[i][j] = -mpmath.fdot((low[i][k], x[k][j]) for k in range(j, i)) / low[i][i]
-        out = np.empty((size, size), dtype=object)
-        for i in range(size):
-            for j in range(i, size):
-                out[i, j] = out[j, i] = mpmath.fdot((x[k][i], x[k][j]) for k in range(j, size))
-        return out
+        return _cholesky_inverse(_mp_cholesky(m))
     return np.linalg.inv(m)
 
 
+def sqrt_det_and_inverse(m: np.ndarray) -> tuple:
+    """``(complex_sqrt_det(m), inverse(m))``; an mpmath matrix is factored once for both."""
+    if is_mp(m):
+        chol = _mp_cholesky(m)
+        return _cholesky_sqrt_det(chol), _cholesky_inverse(chol)
+    return complex_sqrt_det(m), inverse(m)
+
+
+def _cholesky_inverse(chol: mpmath.matrix) -> np.ndarray:
+    """``L^{-T} L^{-1}`` from a lower Cholesky factor ``L``, as an exactly symmetric object array."""
+    low = chol.tolist()
+    size = len(low)
+    # Forward substitution for the lower-triangular X = L^{-1}, column by column.
+    x = [[0] * size for _ in range(size)]
+    for j in range(size):
+        x[j][j] = 1 / low[j][j]
+        for i in range(j + 1, size):
+            x[i][j] = -mpmath.fdot((low[i][k], x[k][j]) for k in range(j, i)) / low[i][i]
+    out = np.empty((size, size), dtype=object)
+    for i in range(size):
+        for j in range(i, size):
+            out[i, j] = out[j, i] = mpmath.fdot((x[k][i], x[k][j]) for k in range(j, size))
+    return out
+
+
+def _cholesky_sqrt_det(chol: mpmath.matrix):
+    """The positive square root of ``det(L L^T)``: the product of the diagonal of ``L``."""
+    return mpmath.fprod(chol[i, i] for i in range(chol.rows))
+
+
 def _mp_cholesky(m: np.ndarray) -> mpmath.matrix:
-    """Lower Cholesky factor of a real symmetric mpmath matrix."""
+    """Lower Cholesky factor of a real symmetric mpmath matrix.
+
+    Asymmetry is averaged away or rejected as by :func:`as_complex_symmetric`.
+    """
+    m = as_complex_symmetric(m)
+    if any(mpmath.im(v) for v in m.flat):
+        raise NotImplementedError("mpmath factorisation takes real matrices")
     try:
         return mpmath.cholesky(mpmath.matrix(m.tolist()))
     except ValueError:
@@ -208,12 +233,9 @@ def complex_sqrt_det(m: np.ndarray) -> complex:
     varies continuously with ``m`` on this domain.  An mpmath matrix must
     be real, where the product is the positive root of the determinant.
     """
-    m = as_complex_symmetric(m)
     if is_mp(m):
-        if any(mpmath.im(v) for v in m.flat):
-            raise NotImplementedError("mpmath square-root determinant takes real matrices")
-        chol = _mp_cholesky(m)
-        return mpmath.fprod(chol[i, i] for i in range(chol.rows))
+        return _cholesky_sqrt_det(_mp_cholesky(m))
+    m = as_complex_symmetric(m)
     re_min = np.linalg.eigvalsh(0.5 * (m.real + m.real.T))[0]
     if re_min <= 0.0:
         raise IndefiniteMatrixError(
@@ -241,8 +263,8 @@ def bracket_root(
     """
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:

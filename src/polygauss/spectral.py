@@ -352,19 +352,22 @@ class GammaFamily:
         homogeneous of weight k in the traces, so the e_k of the normalized
         traces ``T_j / T_1^j`` equal ``E_k / T_1^k``, where
         ``E_k = elementary_symmetric(T_1..T_kmax)`` is computed once, on the
-        polynomials.  Each gamma then costs Horner's rule on ``E_1 = T_1``
-        (which must be positive) and on each ``E_k``, run exactly on the
-        integers that represent the binary coefficients and gamma, and k
-        divisions.  The build runs in ``FAMILY_DPS``-digit mpmath arithmetic
-        (the inputs are exact binary floats), and so does each division.
+        polynomials.  The build runs in ``FAMILY_DPS``-digit mpmath
+        arithmetic (the inputs are exact binary floats).  Each gamma then
+        costs Horner's rule on ``E_1 = T_1`` (which must be positive) and on
+        each ``E_k``, run exactly on the integers that represent the binary
+        coefficients and gamma; every ``E_k / T_1^k`` is an exact integer
+        ratio (:func:`_family_eks`), turned into the correctly rounded float
+        by one integer division, and into a signed infinity beyond the
+        float range.
 
-        Rounding: the values differ from Newton's identities run per gamma
-        on the normalized traces only in the rounding of 100-digit numbers.
-        The terms that cancel in ``e_k`` are of the size of ``e_1^k = 1``,
-        so either route carries an absolute error near 1e-100, and a value
-        keeps about ``100 + log10|e_k|`` correct digits: at least 44 for
-        k <= 5 and delta <= 1e5, where e_5 falls to about 1e-57, against
-        the 16 that the returned floats carry.
+        Rounding: only the build rounds.  The values differ from Newton's
+        identities run per gamma on the normalized traces only in the
+        rounding of 100-digit numbers.  The terms that cancel in ``e_k`` are
+        of the size of ``e_1^k = 1``, so either route carries an absolute
+        error near 1e-100, and a value keeps about ``100 + log10|e_k|``
+        correct digits: at least 44 for k <= 5 and delta <= 1e5, where e_5
+        falls to about 1e-57, against the 16 that the returned floats carry.
         """
         if np.max(np.abs(self.base_triple.b)) != 0.0:
             raise NotImplementedError(
@@ -392,8 +395,7 @@ class GammaFamily:
             coeffs = [_horner_coefficients(e) for e in elementary_symmetric(traces)]
 
         def eks_at(gamma: float) -> np.ndarray:
-            with mpmath.workdps(FAMILY_DPS):
-                return np.array([float(v) for v in _family_eks(coeffs, gamma)])
+            return np.array([_ratio_to_float(*v) for v in _family_eks(coeffs, gamma)])
 
         return eks_at
 
@@ -416,26 +418,41 @@ def _horner_coefficients(p: MultiPoly) -> tuple[list[int], int]:
     return [man << (exp - s) for man, exp in scaled], s
 
 
-def _family_eks(coeffs: Sequence[tuple[list[int], int]], gamma: float) -> list:
-    """``E_k(gamma) / T_1(gamma)^k`` for k = 1..kmax at the working precision.
+def _family_eks(coeffs: Sequence[tuple[list[int], int]], gamma: float) -> list[tuple[int, int]]:
+    """``E_k(gamma) / T_1(gamma)^k`` for k = 1..kmax as exact ratios ``(num, den)``, ``den > 0``.
 
-    ``gamma`` is a binary float ``num / 2^r``, so Horner's rule on the
-    integers of :func:`_horner_coefficients` gives ``2^(r * deg) E_k(gamma)``
-    exactly; each ``E_k(gamma)`` is rounded once, then divided.
+    ``gamma`` is a binary float ``g / 2^r``, so Horner's rule on the
+    integers of :func:`_horner_coefficients` gives ``E_k(gamma)`` exactly,
+    as an integer times a power of two; each ratio is the quotient of those
+    integers with the powers of two folded into its numerator or its
+    denominator.  Nothing is rounded.
     """
-    num, den = float(gamma).as_integer_ratio()
+    g, den = float(gamma).as_integer_ratio()
     r = den.bit_length() - 1
     values = []
     for ints, s in coeffs:
         acc, shift = (ints[0], 0) if ints else (0, 0)
         for c in ints[1:]:
             shift += r
-            acc = acc * num + (c << shift)
-        values.append(mpmath.mpf((acc, s - shift)))  # acc * 2^(s - shift), rounded
-    t = values[0]  # E_1 = T_1
+            acc = acc * g + (c << shift)
+        values.append((acc, s - shift))  # E_k(gamma) = acc * 2^(s - shift)
+    t, t_exp = values[0]  # E_1 = T_1
     if t <= 0:
         raise ValueError(f"non-positive trace at gamma={gamma}")
-    return [v / t**k for k, v in enumerate(values, 1)]
+    ratios, t_pow = [], 1
+    for k, (acc, exp) in enumerate(values, 1):
+        t_pow *= t
+        e = exp - k * t_exp
+        ratios.append((acc << e, t_pow) if e >= 0 else (acc, t_pow << -e))
+    return ratios
+
+
+def _ratio_to_float(num: int, den: int) -> float:
+    """``num / den`` (``den > 0``) correctly rounded, or a signed infinity beyond the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -458,10 +475,13 @@ def z_root(
 ) -> ZRootResult:
     """Locate the smallest parameter where ``e_k`` changes sign.
 
-    The range is pre-scanned on a uniform grid and the first sign change is
-    bisected; multiple crossings therefore resolve to the smallest one.  An
-    infinite ``delta`` is evaluated at a large proxy shift and confirmed at a
-    ten-times-larger one.
+    The uniform grid over the range is evaluated in order up to its first
+    sign change, which is bisected; multiple crossings therefore resolve to
+    the smallest one, and the grid points past it are never evaluated (so a
+    trace that turns non-positive only there raises nothing).  A grid point
+    where ``e_k`` is exactly zero is the root.  An infinite ``delta`` is
+    evaluated at a large proxy shift and confirmed at a ten-times-larger
+    one.
     """
     if math.isinf(delta):
         proxy = _z_root_finite(family, k, DELTA_INFINITY_PROXY, gamma_range, samples, tol)
@@ -485,21 +505,18 @@ def _z_root_finite(family, k, delta, gamma_range, samples, tol) -> ZRootResult:
     def f(gamma: float) -> float:
         return float(eks_at(gamma)[k - 1])
 
-    grid = np.linspace(lo, hi, max(int(samples), 2))
-    values = [f(g) for g in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            return ZRootResult(k, delta, float(grid[i]), (float(grid[i]), float(grid[i])))
-        if np.sign(values[i]) != np.sign(values[i + 1]):
-            bracket = (float(grid[i]), float(grid[i + 1]))
-            break
-    if bracket is None:
-        raise numerics.BracketError(
-            f"e_{k} has no sign change on gamma range [{lo}, {hi}] at delta={delta}"
-        )
-    root = numerics.bracket_root(f, bracket[0], bracket[1], tol)
-    return ZRootResult(k, delta, root, bracket)
+    grid = [float(g) for g in np.linspace(lo, hi, max(int(samples), 2))]
+    prev = f(grid[0])
+    for g0, g1 in zip(grid, grid[1:]):
+        if prev == 0.0:
+            return ZRootResult(k, delta, g0, (g0, g0))
+        cur = f(g1)
+        if np.sign(prev) != np.sign(cur):
+            return ZRootResult(k, delta, numerics.bracket_root(f, g0, g1, tol), (g0, g1))
+        prev = cur
+    raise numerics.BracketError(
+        f"e_{k} has no sign change on gamma range [{lo}, {hi}] at delta={delta}"
+    )
 
 
 @dataclass(frozen=True)

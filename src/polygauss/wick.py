@@ -197,43 +197,46 @@ class GaussianForm:
         external = [i for i in range(self.nvars) if i not in set(internal)]
         m = len(internal)
         q_int = self.quad[np.ix_(internal, internal)]
-        sqrt_det = numerics.complex_sqrt_det(q_int)  # raises unless Re(q_int) > 0
+        # Raises unless Re(q_int) > 0.
+        sqrt_det, q_inv = numerics.sqrt_det_and_inverse(q_int)
         pick_int = _picker(internal)
         deg = max((sum(pick_int(e)) for e in self.poly.terms), default=0)
         if deg > DEFAULT_DEGREE_CAP:
             raise DegreeCapError(f"prefactor degree {deg} exceeds cap {DEFAULT_DEGREE_CAP}")
 
-        q_inv = numerics.inverse(q_int)
         cross = self.quad[np.ix_(internal, external)]  # (m, q)
         l_int = self.lin[internal]
-        l_ext = self.lin[external]
-
-        quad_new = self.quad[np.ix_(external, external)] - cross.T @ q_inv @ cross
-        lin_new = l_ext - cross.T @ q_inv @ l_int
-        const_new = self.const + 0.25 * l_int @ q_inv @ l_int
+        quad_new = self.quad[np.ix_(external, external)]
+        lin_new = self.lin[external]
+        const_new = self.const
         scale_new = self.scale * numerics.pi(q_int) ** (m / 2.0) / sqrt_det
-
-        # Completed-square mean of the internal block, affine in the externals:
-        # mu(e) = q_inv @ (l_int / 2 - cross @ e).
-        mu_const = 0.5 * q_inv @ l_int
-        mu_lin = -q_inv @ cross  # (m, q)
         table = WickTable(0.5 * q_inv)
 
         poly, pick_ext = self.poly, _picker(external)
-        if np.any(mu_const != 0) or np.any(mu_lin != 0):
-            # Substitute z_int = w + mu(e) onto the ring (w, e); the w block
-            # is then centered and pairs by Isserlis.
-            q = len(external)
-            linear = np.zeros((self.nvars, m + q), dtype=mu_lin.dtype)
-            const = np.zeros(self.nvars, dtype=mu_const.dtype)
-            for k, i in enumerate(internal):
-                linear[i, k] = 1
-                linear[i, m:] = mu_lin[k]
-                const[i] = mu_const[k]
-            for k, v in enumerate(external):
-                linear[v, m + k] = 1
-            poly = poly.compose_affine(linear, const)
-            pick_int, pick_ext = _picker(range(m)), _picker(range(m, m + q))
+        # A block with no linear term and no coupling to the externals (every
+        # trace chain) has nothing to complete: its mean is zero.
+        if np.any(cross) or np.any(l_int):
+            quad_new = quad_new - cross.T @ q_inv @ cross
+            lin_new = lin_new - cross.T @ q_inv @ l_int
+            const_new = const_new + 0.25 * l_int @ q_inv @ l_int
+            # Completed-square mean of the internal block, affine in the
+            # externals: mu(e) = q_inv @ (l_int / 2 - cross @ e).
+            mu_const = 0.5 * q_inv @ l_int
+            mu_lin = -q_inv @ cross  # (m, q)
+            if np.any(mu_const != 0) or np.any(mu_lin != 0):
+                # Substitute z_int = w + mu(e) onto the ring (w, e); the w
+                # block is then centered and pairs by Isserlis.
+                q = len(external)
+                linear = np.zeros((self.nvars, m + q), dtype=mu_lin.dtype)
+                const = np.zeros(self.nvars, dtype=mu_const.dtype)
+                for k, i in enumerate(internal):
+                    linear[i, k] = 1
+                    linear[i, m:] = mu_lin[k]
+                    const[i] = mu_const[k]
+                for k, v in enumerate(external):
+                    linear[v, m + k] = 1
+                poly = poly.compose_affine(linear, const)
+                pick_int, pick_ext = _picker(range(m)), _picker(range(m, m + q))
 
         result: dict[tuple[int, ...], complex] = {}
         for exps, coeff in poly.terms.items():

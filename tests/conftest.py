@@ -352,6 +352,33 @@ def family_eks_pointwise(family, kmax: int, delta: float):
     return eks_at
 
 
+def z_root_eager(family, k, delta, gamma_range=(0.0, 20.0), samples=64, tol=1e-6):
+    """The finite-delta root scan's former route, as a reference.
+
+    Evaluates ``e_k`` on every grid point first, then looks for the first
+    sign change (or an exact zero before the last point) and bisects it.
+    """
+    from polygauss.spectral import ZRootResult
+
+    lo, hi = gamma_range
+    eks_at = family.ek_evaluator(k, delta)
+
+    def f(gamma: float) -> float:
+        return float(eks_at(gamma)[k - 1])
+
+    grid = np.linspace(lo, hi, max(int(samples), 2))
+    values = [f(g) for g in grid]
+    for i in range(len(grid) - 1):
+        if values[i] == 0.0:
+            return ZRootResult(k, delta, float(grid[i]), (float(grid[i]), float(grid[i])))
+        if np.sign(values[i]) != np.sign(values[i + 1]):
+            bracket = (float(grid[i]), float(grid[i + 1]))
+            return ZRootResult(k, delta, numerics.bracket_root(f, *bracket, tol), bracket)
+    raise numerics.BracketError(
+        f"e_{k} has no sign change on gamma range [{lo}, {hi}] at delta={delta}"
+    )
+
+
 @dataclass(frozen=True)
 class WignerForm:
     """Phase-space image ``scale * poly(x, p) * exp(-(x, p)^T quad (x, p))``."""

@@ -143,6 +143,80 @@ def test_cli_check_exit_codes(tmp_path):
     assert report["verdict"] == "not_psd"
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["check", "SPEC", "--kmax", "0"], "--kmax"),
+        (["check", "SPEC", "--kmax", "9"], "--kmax"),
+        (["check", "SPEC", "--trials", "-3"], "--trials"),
+        (["check", "SPEC", "--seed", "-1"], "--seed"),
+        (["check", "SPEC", "--deltas", "nan"], "--deltas"),
+        (["check", "SPEC", "--deltas", "10,inf"], "--deltas"),
+        (["npt", "SPEC", "--kmax", "9"], "--kmax"),
+        (["npt", "SPEC", "--trials", "-1"], "--trials"),
+        (["zscan", "--k", "0"], "--k"),
+        (["zscan", "--k", "9"], "--k"),
+        (["zscan", "--tol", "nan"], "--tol"),
+        (["zscan", "--tol", "0"], "--tol"),
+        (["zscan", "--samples", "1"], "--samples"),
+        (["zscan", "--deltas", "nan"], "--deltas"),
+        (["zscan", "--deltas=-inf"], "--deltas"),
+        (["zscan", "--gamma-range", "0:inf"], "--gamma-range"),
+        (["zscan", "--gamma-range", "5:5"], "--gamma-range"),
+        (["zscan", "--gamma-range", "5"], "--gamma-range"),
+    ],
+)
+def test_cli_rejects_out_of_range_options(tmp_path, capsys, argv, option):
+    spec = _write_spec(tmp_path, kappa_gamma_kernel(7.0))
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}:" in captured.err
+
+
+def test_cli_accepts_the_boundary_values(tmp_path, capsys):
+    spec = _write_spec(tmp_path, kappa_gamma_kernel(7.0))
+    assert main(["check", str(spec), "--trials", "0", "--kmax", "1", "--deltas", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "undecided"
+    assert main(["zscan", "--k", "3", "--deltas", "inf", "--samples", "2",
+                 "--gamma-range", "4:5"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["delta"] == "inf"
+
+
+def test_cli_reuses_one_parser_with_fresh_results(tmp_path, capsys):
+    # One parser serves every main call of the process; consecutive commands,
+    # with a rejected argv between them, print what fresh parsers print.
+    from polygauss import cli
+
+    spec = _write_spec(tmp_path, kappa_gamma_kernel(7.0), name="a.json")
+    other = _write_spec(tmp_path, kappa_gamma_kernel(1.0, 50.0), name="b.json")
+    runs = [
+        ["zscan", "--k", "3", "--deltas", "10"],
+        ["check", str(spec), "--trials", "0", "--kmax", "3"],
+        ["check", str(spec), "--kmax", "0"],
+        ["gauss", str(other)],
+        ["preorder", str(spec), str(other)],
+        ["zscan", "--k", "4", "--deltas", "250", "--format", "csv"],
+        ["check", str(other), "--trials", "10", "--deltas", "10"],
+    ]
+
+    def outputs(fresh: bool) -> list:
+        out = []
+        for argv in runs:
+            if fresh:
+                cli._parser.cache_clear()
+            rc = main(argv)
+            captured = capsys.readouterr()
+            out.append((rc, re.sub(r'"elapsed_s": [^,\n]+', "", captured.out), captured.err))
+        return out
+
+    kept = outputs(fresh=False)
+    assert cli._parser.cache_info().currsize == 1
+    assert [rc for rc, _, _ in kept] == [0, 1, 2, 0, 0, 0, 0]
+    assert kept == outputs(fresh=True)
+
+
 def test_cli_determinism(tmp_path, capsys):
     spec = _write_spec(tmp_path, kappa_gamma_kernel(7.0))
     assert main(["check", str(spec), "--seed", "5", "--kmax", "3"]) == 1

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -148,6 +150,35 @@ def test_float_inverse_is_numpy_inverse():
         assert np.array_equal(numerics.inverse(m.real), np.linalg.inv(m.real))
 
 
+def test_sqrt_det_and_inverse_factor_an_mpmath_block_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    factored = []
+    cholesky = numerics._mp_cholesky
+
+    def counted(m):
+        factored.append(m)
+        return cholesky(m)
+
+    with mpmath.workdps(100):
+        for size in range(1, 6):
+            g = rng.normal(size=(size, size))
+            m = _mp_matrix(g @ g.T + 0.5 * np.eye(size))
+            want = numerics.complex_sqrt_det(m), numerics.inverse(m)
+            factored.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "_mp_cholesky", counted)
+                sqrt_det, inv = numerics.sqrt_det_and_inverse(m)
+            assert len(factored) == 1
+            assert sqrt_det == want[0]
+            assert all(a == b for a, b in zip(inv.flat, want[1].flat))
+        with pytest.raises(numerics.IndefiniteMatrixError):
+            numerics.sqrt_det_and_inverse(_mp_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+    m = np.array([[2.0, 0.5j], [0.5j, 3.0]])
+    sqrt_det, inv = numerics.sqrt_det_and_inverse(m)
+    assert sqrt_det == numerics.complex_sqrt_det(m)
+    assert np.array_equal(inv, np.linalg.inv(m))
+
+
 def test_bracket_root_linear():
     assert abs(numerics.bracket_root(lambda x: x - 2.0, 0.0, 5.0, 1e-10) - 2.0) < 1e-9
 
@@ -169,3 +200,9 @@ def test_bracket_root_requires_sign_change():
         numerics.bracket_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
     with pytest.raises(ValueError):
         numerics.bracket_root(lambda x: x, 1.0, -1.0, 1e-8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+def test_bracket_root_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        numerics.bracket_root(lambda x: x, -1.0, 1.0, tol)

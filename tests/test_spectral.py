@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     random_kernel_valid_triple,
     random_kernel,
     random_self_adjoint_poly,
+    z_root_eager,
 )
 from polygauss import spectral
 from polygauss.entangle import entangled_fixture
@@ -573,7 +575,8 @@ def test_family_evaluator_matches_pointwise_newton_route(monkeypatch):
     # e_k are of the size of e_1^k = 1, so both routes carry an absolute
     # error near 1e-100; e_5 at delta = 1e5 is about 1e-57 and keeps only
     # some 45 correct digits either way, so the 100-digit values are
-    # compared on the scale e_1^k, and the returned floats bit for bit.
+    # compared on the scale e_1^k, and the returned floats bit for bit.  The
+    # compiled values are exact ratios, read here at 100 digits.
     exact = []
     compiled = spectral._family_eks
 
@@ -595,11 +598,16 @@ def test_family_evaluator_matches_pointwise_newton_route(monkeypatch):
                 got = evaluator(gamma)
                 want = reference(gamma)
                 assert np.array_equal(got, np.array([float(v) for v in want])), (k, delta, gamma)
-                (values,) = exact
-                assert values[0] == want[0] == 1
+                (ratios,) = exact
+                assert ratios[0][0] == ratios[0][1] and want[0] == 1
                 with mpmath.workdps(spectral.FAMILY_DPS):
-                    for v, w in zip(values, want):
+                    for v, w in zip(map(_mp_ratio, ratios), want):
                         assert abs(v - w) <= mpmath.mpf("1e-90"), (k, delta, gamma)
+
+
+def _mp_ratio(ratio: tuple[int, int]) -> mpmath.mpf:
+    num, den = ratio
+    return mpmath.mpf(num) / den
 
 
 def test_exact_horner_matches_pointwise_polynomial_values():
@@ -613,7 +621,7 @@ def test_exact_horner_matches_pointwise_polynomial_values():
         ]
         coeffs = [spectral._horner_coefficients(p) for p in polys]
         for gamma in (0.0, -0.5, 0.1, 2.75, 1e5):
-            got = spectral._family_eks(coeffs, gamma)
+            got = [_mp_ratio(v) for v in spectral._family_eks(coeffs, gamma)]
             g = (mpmath.mpf(gamma),)
             t = polys[0](g)
             for k, (p, v) in enumerate(zip(polys, got), 1):
@@ -621,6 +629,117 @@ def test_exact_horner_matches_pointwise_polynomial_values():
                 assert abs(v - ref) <= mpmath.mpf("1e-95") * abs(ref), (k, gamma)
         with pytest.raises(ValueError, match="non-positive trace"):
             spectral._family_eks(coeffs, -1.0)
+
+
+def _exact(c) -> Fraction:
+    """An mpmath binary number as an exact fraction (``man_exp`` holds |mantissa|)."""
+    man, exp = c.man_exp if c else (0, 0)
+    return (-1 if c < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def test_family_eks_are_exact_ratios_rounded_once():
+    with mpmath.workdps(spectral.FAMILY_DPS):
+        third = mpmath.mpf(1) / 3
+        polys = [
+            MultiPoly(1, {(0,): 3 + third, (1,): mpmath.mpf(2)}),
+            MultiPoly(1, {(0,): -third, (2,): mpmath.mpf("1e-30"), (3,): mpmath.mpf(7)}),
+            MultiPoly.zero(1),
+            MultiPoly(1, {(1,): mpmath.mpf(-5) / 7, (4,): mpmath.mpf("1e-40")}),
+        ]
+        coeffs = [spectral._horner_coefficients(p) for p in polys]
+    for gamma in (0.0, -0.5, -1.25, 0.1, 2.75, 1e5, 2.0**-60):
+        g = Fraction(gamma)
+        values = [sum(_exact(c) * g ** e[0] for e, c in p.terms.items()) for p in polys]
+        ratios = spectral._family_eks(coeffs, gamma)
+        for k, ((num, den), value) in enumerate(zip(ratios, values), 1):
+            assert den > 0
+            assert Fraction(num, den) == value / values[0] ** k, (k, gamma)
+            assert spectral._ratio_to_float(num, den) == float(Fraction(num, den)), (k, gamma)
+    assert spectral._family_eks(coeffs, 0.0)[2][0] == 0
+
+
+def test_family_evaluator_returns_the_exact_ratios_correctly_rounded(monkeypatch):
+    exact = []
+    compiled = spectral._family_eks
+
+    def recorded(coeffs, gamma):
+        exact.append(compiled(coeffs, gamma))
+        return exact[-1]
+
+    monkeypatch.setattr(spectral, "_family_eks", recorded)
+    fam = kappa_gamma_family()
+    for k, delta in ((3, 0.0), (5, 250.0), (4, 1e5)):
+        evaluator = fam.ek_evaluator(k, delta)
+        for gamma in (-1.5, 0.0, 4.3, 12.0, 1e5):
+            exact.clear()
+            got = evaluator(gamma)
+            want = [float(Fraction(num, den)) for num, den in exact[0]]
+            assert got.dtype == np.float64 and list(got) == want, (k, delta, gamma)
+
+
+def test_ratio_to_float_gives_signed_infinity_and_zero_beyond_the_float_range():
+    huge = 10**400
+    assert spectral._ratio_to_float(huge, 3) == math.inf
+    assert spectral._ratio_to_float(-huge, 3) == -math.inf
+    assert spectral._ratio_to_float(1, huge) == 0.0
+    tiny = spectral._ratio_to_float(-1, huge)
+    assert tiny == 0.0 and math.copysign(1.0, tiny) == -1.0
+    assert spectral._ratio_to_float(3, 10**320) == float(Fraction(3, 10**320)) > 0.0
+
+
+class _CountingFamily:
+    """A family whose evaluator counts its calls; ``e_k`` comes from ``fn``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def ek_evaluator(self, kmax, delta):
+        def eks_at(gamma):
+            self.calls += 1
+            return np.array([1.0] * (kmax - 1) + [self.fn(gamma)])
+
+        return eks_at
+
+
+def test_lazy_root_scan_matches_the_eager_scan_with_fewer_evaluations():
+    fam = kappa_gamma_family()
+    for k, delta in ((3, 0.0), (4, 10.0), (5, 250.0), (3, 1e4)):
+        evaluator = fam.ek_evaluator(k, delta)
+        lazy, eager = (_CountingFamily(lambda g: evaluator(g)[k - 1]) for _ in range(2))
+        got = spectral.z_root(lazy, k, delta)
+        assert got == z_root_eager(eager, k, delta), (k, delta)
+        assert got == spectral.z_root(fam, k, delta)
+        assert lazy.calls < eager.calls, (k, delta)
+
+
+def test_lazy_root_scan_keeps_the_exact_zero_and_the_bracket_error():
+    # On linspace(0, 20, 5) = 0, 5, 10, 15, 20: an exact zero on the first
+    # point is the root; a zero on a later point ends a bracket; a NaN is a
+    # sign change; no sign change on the grid raises.
+    cases = [
+        lambda g: g,
+        lambda g: g - 5.0,
+        lambda g: g - 20.0,
+        lambda g: math.nan if g > 12.0 else 1.0,
+        lambda g: g - 25.0,
+    ]
+    for fn in cases:
+        lazy, eager = _CountingFamily(fn), _CountingFamily(fn)
+        try:
+            want = z_root_eager(eager, 3, 0.0, samples=5)
+        except BracketError as exc:
+            with pytest.raises(BracketError, match=re.escape(str(exc))):
+                spectral.z_root(lazy, 3, 0.0, samples=5)
+        else:
+            assert spectral.z_root(lazy, 3, 0.0, samples=5) == want
+        assert lazy.calls <= eager.calls
+    spy = _CountingFamily(lambda g: g)
+    assert spectral.z_root(spy, 3, 0.0, samples=5) == spectral.ZRootResult(3, 0.0, 0.0, (0.0, 0.0))
+    assert spy.calls == 1
+    spy = _CountingFamily(lambda g: g - 5.0)
+    assert spectral.z_root(spy, 3, 0.0, samples=5) == spectral.ZRootResult(3, 0.0, 5.0, (0.0, 5.0))
+    assert spy.calls == 2 + 2  # two grid points, then bracket_root's two end points
 
 
 def test_family_evaluator_rejects_non_positive_trace():

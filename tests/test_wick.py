@@ -309,3 +309,24 @@ def test_wigner_round_trip():
             x, y = rng.normal(size=n), rng.normal(size=n)
             v1, v2 = k.evaluate(x, y), back.evaluate(x, y)
             assert abs(v1 - v2) < 1e-8 * max(1.0, abs(v1))
+
+
+def test_uncoupled_block_integrates_with_a_parameter_riding_along():
+    # A trace chain's shape: the internal block has no linear term and no
+    # coupling to the external (parameter) variable, so the result keeps the
+    # external quadratic and linear parts and is a polynomial in the parameter.
+    quad = [[1.5, 0.25, 0.0], [0.25, 0.75, 0.0], [0.0, 0.0, 0.0]]
+    terms = {(2, 0, 0): 1.0, (1, 1, 1): -0.5, (0, 2, 2): 2.0, (0, 0, 1): 3.0}
+    for number, dtype in ((complex, complex), (mpmath.mpf, object)):
+        with mpmath.workdps(30):
+            q = np.array([[number(v) for v in row] for row in quad], dtype=dtype)
+            p = MultiPoly(3, {e: number(c) for e, c in terms.items()})
+            lin = np.array([number(0)] * 3, dtype=dtype)
+            form = wick.GaussianForm(p, q, lin).integrate([0, 1])
+            assert form.nvars == 1 and form.quad[0, 0] == 0 and form.lin[0] == 0
+            assert form.const == 0
+            for g in (-1.0, 0.5, 2.0):
+                at_g = MultiPoly(2, {(a, b): c * g**e for (a, b, e), c in terms.items()})
+                want = wick.poly_gaussian_integral(at_g, np.array(quad)[:2, :2])
+                got = complex(form.scale * form.poly((number(g),)))
+                assert abs(got - want) <= 1e-12 * abs(want), (number, g)
