@@ -11,11 +11,15 @@ choose which: complex (or real) float64 arrays, or numpy object arrays of
 determinant, pi) live here; the mpmath branches of the inverse and the
 square-root determinant take real matrices only, and share one Cholesky
 factor when both are needed (:func:`sqrt_det_and_inverse`).
+
+Matrices of Python ints have an exact layer: :func:`integer_det_adjugate`
+gives the determinant and the adjugate of a symmetric positive definite
+integer matrix with no rounding, and proves the definiteness on the way.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import mpmath
 import numpy as np
@@ -30,7 +34,9 @@ __all__ = [
     "as_real_symmetric",
     "bracket_root",
     "complex_sqrt_det",
+    "integer_det_adjugate",
     "inverse",
+    "is_exact",
     "is_mp",
     "min_eigenvalue",
     "pi",
@@ -64,11 +70,30 @@ def is_mp(x) -> bool:
     return isinstance(x, MP_TYPES) or (isinstance(x, np.ndarray) and x.dtype == object)
 
 
+def is_exact(x) -> bool:
+    """True for a Python int or a nonempty numpy object array of Python ints."""
+    if type(x) is int:
+        return True
+    return (
+        isinstance(x, np.ndarray)
+        and x.dtype == object
+        and x.size > 0
+        and all(type(v) is int for v in x.flat)
+    )
+
+
 def as_number(x, like=None):
-    """``x`` as a Python complex, or as an mpmath number if it is one or ``like`` holds them."""
+    """``x`` as a Python complex, or as an mpmath number if it is one or ``like`` holds them.
+
+    A Python int stays an int beside an exact ``like`` (:func:`is_exact`).
+    """
     if isinstance(x, MP_TYPES):
         return x
-    return mpmath.mpmathify(x) if like is not None and is_mp(like) else complex(x)
+    if like is None:
+        return complex(x)
+    if type(x) is int and is_exact(like):
+        return x
+    return mpmath.mpmathify(x) if is_mp(like) else complex(x)
 
 
 def as_array(x) -> np.ndarray:
@@ -137,6 +162,54 @@ def _mp_cholesky(m: np.ndarray) -> mpmath.matrix:
         return mpmath.cholesky(mpmath.matrix(m.tolist()))
     except ValueError:
         raise IndefiniteMatrixError("matrix is not positive definite") from None
+
+
+def integer_det_adjugate(m) -> tuple[int, np.ndarray]:
+    """``(det m, adj m)`` of a symmetric positive definite matrix of Python ints, exactly.
+
+    Fraction-free (Bareiss) elimination of ``[m | I]`` without pivoting
+    (E. H. Bareiss, Math. Comp. 22, 1968): the k-th pivot is the k-th
+    leading principal minor of ``m``, so every division is exact and the
+    last pivot is the determinant.  By Sylvester's criterion a pivot that is
+    not positive proves that ``m`` is not positive definite, singular
+    included, and raises :class:`IndefiniteMatrixError`.  Back substitution
+    of ``m X = det * I`` on the eliminated rows then gives the adjugate, an
+    integer matrix, with exact divisions again.  The adjugate comes back as
+    an object array of Python ints.
+    """
+    rows = np.asarray(m, dtype=object)
+    if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or not rows.size:
+        raise ValueError(f"expected a nonempty square matrix, got shape {rows.shape}")
+    if not all(type(v) is int for v in rows.flat):
+        raise TypeError("integer_det_adjugate takes Python ints")
+    if any((rows != rows.T).flat):
+        raise NotSymmetricError("matrix is not symmetric")
+    size = rows.shape[0]
+    aug = [row + [int(i == r) for i in range(size)] for r, row in enumerate(rows.tolist())]
+    prev = 1
+    for k in range(size):
+        top = aug[k]
+        pivot = top[k]
+        if pivot <= 0:
+            raise IndefiniteMatrixError("matrix is not positive definite")
+        for row in aug[k + 1:]:
+            lead = row[k]
+            row[k] = 0
+            for j in range(k + 1, 2 * size):
+                row[j] = (pivot * row[j] - lead * top[j]) // prev
+        prev = pivot
+    det = prev
+    adj = [[0] * size for _ in range(size)]
+    for i in range(size - 1, -1, -1):
+        row = aug[i]
+        for col in range(size):
+            acc = det * row[size + col]
+            for k in range(i + 1, size):
+                acc -= row[k] * adj[k][col]
+            adj[i][col] = acc // row[i]
+    out = np.empty((size, size), dtype=object)
+    out[:, :] = adj
+    return det, out
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
@@ -261,12 +334,21 @@ def bracket_root(
     ``f``.  Returns the bracket midpoint once the bracket width is below
     ``tol``.
     """
+    return _bracket_root(f, lo, hi, tol)
+
+
+def _bracket_root(f, lo: float, hi: float, tol: float, ends: Optional[tuple] = None) -> float:
+    """:func:`bracket_root`, given the end values ``ends = (f(lo), f(hi))`` if they are known.
+
+    A caller that has just evaluated both ends (the grid scan of
+    :func:`polygauss.spectral.z_root`) hands them over instead of having
+    them evaluated again; the bisection is the same either way.
+    """
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    flo = f(lo)
-    fhi = f(hi)
+    flo, fhi = (f(lo), f(hi)) if ends is None else ends
     if flo == 0.0:
         return float(lo)
     if fhi == 0.0:

@@ -1,9 +1,11 @@
-"""Sparse multivariate polynomials with complex or mpmath coefficients.
+"""Sparse multivariate polynomials with complex, mpmath or integer coefficients.
 
 A :class:`MultiPoly` stores a map from exponent tuples to coefficients.
 Coefficients are Python complex numbers unless they are given as mpmath
-numbers, which arithmetic keeps as they are; a scalar factor or divisor
-takes the coefficients' type, so real mpmath coefficients stay real.  In
+numbers or Python ints (through :meth:`MultiPoly._from_terms`), which
+arithmetic keeps as they are; a scalar factor or divisor takes the
+coefficients' type, so real mpmath coefficients stay real and an int factor
+keeps int coefficients exact.  In
 kernel contexts the variable list is split in half: the first ``n``
 variables are the "left" block (x) and the last ``n`` the "right" block (y),
 and self-adjointness means that swapping the blocks and conjugating the
@@ -28,7 +30,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .numerics import MP_TYPES, as_array, as_number
+from .numerics import as_array, as_number
 
 __all__ = [
     "MultiPoly",
@@ -37,9 +39,10 @@ __all__ = [
 ]
 
 # Float64 coefficients below PRUNE_RTOL * max|coeff| are dropped after
-# arithmetic so the degree stays well defined under cancellation.  mpmath
-# coefficients are never pruned: their relative spread legitimately reaches
-# far below float64 resolution (1e-23 in the delta-shifted family chains).
+# arithmetic so the degree stays well defined under cancellation.  mpmath and
+# int coefficients are never pruned: their relative spread legitimately
+# reaches far below float64 resolution (1e-23 in the delta-shifted family
+# chains), and an int is exact at any size.
 PRUNE_RTOL = 1e-14
 
 
@@ -48,9 +51,9 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple:
 
 
 def _cleaned(terms: dict, prune: bool) -> dict:
-    """Drop zero coefficients and, for float64 polynomials, negligible ones."""
+    """Drop zero coefficients and, for float64 (float or complex) polynomials, negligible ones."""
     terms = {e: c for e, c in terms.items() if c}
-    if prune and terms and not any(isinstance(c, MP_TYPES) for c in terms.values()):
+    if prune and terms and all(isinstance(c, (float, complex)) for c in terms.values()):
         cmax = max(abs(c) for c in terms.values())
         terms = {e: c for e, c in terms.items() if abs(c) > PRUNE_RTOL * cmax}
     return terms
@@ -60,7 +63,7 @@ class MultiPoly:
     """Immutable sparse polynomial over ``nvars`` real variables.
 
     ``terms`` maps exponent tuples (length ``nvars``, nonnegative ints) to
-    nonzero complex or mpmath coefficients.  Do not mutate a returned term
+    nonzero complex, mpmath or int coefficients.  Do not mutate a returned term
     mapping.
     """
 

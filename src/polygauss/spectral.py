@@ -9,12 +9,13 @@ one representative per orbit before it is integrated,
 
     sum_alpha c_alpha E[w^alpha] = sum_orbits (sum_{alpha in O} c_alpha) E[w^rep(O)],
 
-exactly for any n, complex B and either number type (only the rounding of
-the summed coefficients differs).  :func:`chain_form` returns that folded
-integrand from one small cache, and every trace power (:func:`moment`, the
-family evaluator) integrates it.  The unfolded chain,
-``chain_integrand(chain_links(...))``, is built without a cache and serves
-only as the independent route for re-checking certificates.
+exactly for any n, complex B and any number type (float64 and mpmath
+differ only in the rounding of the summed coefficients; Python ints do not
+round).  :func:`chain_form` returns that folded integrand from one small
+cache, and every trace power (:func:`moment`, the family evaluator)
+integrates it.  The unfolded chain, ``chain_integrand(chain_links(...))``,
+is built without a cache and serves only as the independent route for
+re-checking certificates.
 
 Newton's identities turn the moments into the elementary symmetric values
 ``e_k`` of the eigenvalue sequence; a negative ``e_k`` certifies that the
@@ -26,6 +27,11 @@ The sweep can be sharpened by re-running it on equivalent Gaussian weights
 certifies non-positivity of the original.  For one-parameter kernel
 families, :func:`z_root` locates the parameter where ``e_k`` changes sign
 and :func:`delta_scan` tracks how that threshold improves with ``delta``.
+Large shifts drive ``e_k`` far below float64 cancellation noise, so the
+family evaluator builds its trace polynomials in exact integer arithmetic
+(:meth:`GammaFamily.ek_evaluator`): the inputs are binary floats, and the
+only rounding is one irrational scale per trace order, at ``FAMILY_DPS``
+digits.
 
 Independent of the moment machinery, :func:`mercer_search` hunts for finite
 point-set positivity violations and :func:`nystrom_oracle` approximates the
@@ -46,7 +52,7 @@ from . import numerics
 from .gaussian import ConsistencyError, GaussianTriple, equiv, shifted_triple
 from .kernels import PolyGaussianKernel
 from .poly import MultiPoly
-from .wick import DEFAULT_DEGREE_CAP, GaussianForm
+from .wick import DEFAULT_DEGREE_CAP, GaussianForm, integrate_integer
 
 __all__ = [
     "DeltaScanResult",
@@ -75,9 +81,11 @@ DELTA_INFINITY_PROXY = 1.0e4
 DELTA_INFINITY_CONFIRM = 1.0e5
 MERCER_MAX_BLOCK = 128  # trials per stacked Gram build; bounds its memory
 MERCER_TOL = 1e-9  # a Mercer certificate needs form / |c|^2 < -MERCER_TOL * scale
-# Decimal digits of the family sweep.  Large shifts cluster the eigenvalues
-# and drive the true e_k far below double-precision cancellation noise; at
-# delta = 1e5 the chain coefficients spread over 23 orders of magnitude.
+# Decimal digits of the family sweep: the relative precision to which the
+# exact integer build rounds each trace order's scale rho_j (the one
+# irrational number of a build).  Large shifts cluster the eigenvalues and
+# drive the true e_k far below double-precision cancellation noise (e_5 is
+# about 1e-57 at delta = 1e5), so the values need far more than 16 digits.
 FAMILY_DPS = 100
 # Folded chain prefactors kept by chain_form: a kernel's orders with room to spare.
 CHAIN_CACHE_SIZE = 16
@@ -160,11 +168,12 @@ def _chain_orbits(nvars: int, items: tuple, types: tuple, n: int, j: int, prec: 
     the orbit's coefficients in product order.  The sums are not pruned.
 
     The key is the polynomial's terms in their order (which fixes the order
-    of every sum), the coefficient types (an mpmath coefficient equals and
-    hashes like the complex of the same value) and the mpmath precision the
-    products round to.  Coefficients compare by value, so two polynomials
-    whose coefficients differ only in the sign of a zero real or imaginary
-    part share an entry; their products differ at most in those signs.
+    of every sum), the coefficient types (an mpmath or int coefficient
+    equals and hashes like the complex of the same value) and the mpmath
+    precision the products round to.  Coefficients compare by value, so two
+    polynomials whose coefficients differ only in the sign of a zero real or
+    imaginary part share an entry; their products differ at most in those
+    signs.
     """
     full = chain_links(MultiPoly._from_terms(nvars, dict(items), False), n, j)
     if j == 1:
@@ -209,9 +218,10 @@ def _check_order(kernel: PolyGaussianKernel, j: int) -> None:
 def elementary_symmetric(moment_values: Sequence[float]) -> np.ndarray:
     """Newton's identities: (e_1, ..., e_K) from the trace powers (M_1, ..., M_K).
 
-    Float input gives a float array; mpmath numbers, or polynomials with
-    mpmath coefficients (the family evaluator's trace polynomials), give an
-    object array of the same kind.
+    Float input gives a float array; mpmath numbers (the family reference
+    route in the tests) give an object array of the same kind.  The family
+    evaluator runs the same recursion on integer polynomials, with no
+    division (:func:`_factorial_eks`).
     """
     m = list(moment_values)
     if not m:
@@ -350,24 +360,40 @@ class GammaFamily:
         shared by the chain links, into the raw trace polynomial
         ``T_j(gamma) = Tr(K_gamma^j)`` before normalization.  ``e_k`` is
         homogeneous of weight k in the traces, so the e_k of the normalized
-        traces ``T_j / T_1^j`` equal ``E_k / T_1^k``, where
-        ``E_k = elementary_symmetric(T_1..T_kmax)`` is computed once, on the
-        polynomials.  The build runs in ``FAMILY_DPS``-digit mpmath
-        arithmetic (the inputs are exact binary floats).  Each gamma then
-        costs Horner's rule on ``E_1 = T_1`` (which must be positive) and on
-        each ``E_k``, run exactly on the integers that represent the binary
-        coefficients and gamma; every ``E_k / T_1^k`` is an exact integer
-        ratio (:func:`_family_eks`), turned into the correctly rounded float
-        by one integer division, and into a signed infinity beyond the
-        float range.
+        traces ``T_j / T_1^j`` equal ``E_k / T_1^k``, where ``E_k`` is the
+        k-th elementary symmetric function of ``T_1..T_kmax``, and they do
+        not change when every ``T_j`` is scaled by ``lambda^j``.
 
-        Rounding: only the build rounds.  The values differ from Newton's
-        identities run per gamma on the normalized traces only in the
-        rounding of 100-digit numbers.  The terms that cancel in ``e_k`` are
-        of the size of ``e_1^k = 1``, so either route carries an absolute
-        error near 1e-100, and a value keeps about ``100 + log10|e_k|``
-        correct digits: at least 44 for k <= 5 and delta <= 1e5, where e_5
-        falls to about 1e-57, against the 16 that the returned floats carry.
+        The build is exact integer arithmetic.  The inputs are binary floats,
+        so ``A + delta I`` and ``C + delta I`` are integers over ``2^s`` and
+        the family coefficients integers over a power of two;
+        :func:`chain_form` folds the integer polynomial and builds the
+        integer chain block ``N_j``, and :func:`polygauss.wick.integrate_integer`
+        gives ``T_j = pi^(j n / 2) 2^(s j n / 2) 2^(-p j) I_j(gamma) /
+        (sqrt(det N_j) (2 det N_j)^(o_j))`` with an integer polynomial
+        ``I_j`` (``2^p`` is the coefficients' denominator, ``o_j`` the
+        order).  The ``lambda^j`` scaling removes pi and the powers of two,
+        and leaves one factor per order,
+        ``rho_j / (2 det N_j)^(o_j)`` with ``rho_j = sqrt(det(N_1)^j / det(N_j))``,
+        which :func:`_trace_scales` rounds once, to at least ``FAMILY_DPS``
+        digits.  Newton's identities then run on the integer polynomials
+        with ``k! E_k`` in place of ``E_k`` (:func:`_factorial_eks`), so
+        nothing divides.  A chain block that is not positive definite raises
+        :class:`polygauss.numerics.IndefiniteMatrixError`.
+
+        Each gamma then costs Horner's rule on ``E_1 = T_1`` (which must be
+        positive) and on each ``k! E_k``, run exactly on the integer
+        coefficients and the integers that represent gamma; every
+        ``E_k / T_1^k`` is an exact integer ratio (:func:`_family_eks`),
+        turned into the correctly rounded float by one integer division,
+        and into a signed infinity beyond the float range.
+
+        Rounding: only the scales round.  Each carries a relative error
+        below ``10^-FAMILY_DPS``, and the terms that cancel in ``e_k`` are
+        of the size of ``e_1^k = 1``, so a value carries an absolute error
+        near ``1e-100`` and keeps about ``100 + log10|e_k|`` correct
+        digits: at least 44 for k <= 5 and delta <= 1e5, where e_5 falls to
+        about 1e-57, against the 16 that the returned floats carry.
         """
         if np.max(np.abs(self.base_triple.b)) != 0.0:
             raise NotImplementedError(
@@ -375,24 +401,30 @@ class GammaFamily:
             )
         if any(co.imag != 0.0 for co in self.poly_gamma.terms.values()):
             raise NotImplementedError("family polynomial must have real coefficients")
+        if kmax < 1:
+            raise ValueError("kmax must be at least 1")
         n = self.n
-        to_mp = np.vectorize(mpmath.mpf, otypes=[object])
-        with mpmath.workdps(FAMILY_DPS):
-            shift = to_mp(delta * np.eye(n))
-            a = to_mp(self.base_triple.a) + shift
-            c = to_mp(self.base_triple.c) + shift
-            exponent_matrix = np.block([[a + c, c - a], [c - a, a + c]])
-            poly = MultiPoly(
-                self.poly_gamma.nvars,
-                {e: mpmath.mpf(co.real) for e, co in self.poly_gamma.terms.items()},
-            )
-            # Per order j, T_j as a polynomial in gamma (the chains carry no
-            # linear exponent terms, so const = 0).
-            traces = []
-            for j in range(1, kmax + 1):
-                form = chain_form(poly, exponent_matrix, j).integrate(range(j * n))
-                traces.append(form.poly * form.scale)
-            coeffs = [_horner_coefficients(e) for e in elementary_symmetric(traces)]
+        entries, s = _dyadic_ints([*self.base_triple.a.flat, *self.base_triple.c.flat, delta])
+        a = np.array(entries[: n * n], dtype=object).reshape(n, n)
+        c = np.array(entries[n * n : 2 * n * n], dtype=object).reshape(n, n)
+        for i in range(n):
+            a[i, i] += entries[-1]
+            c[i, i] += entries[-1]
+        exponent_matrix = np.block([[a + c, c - a], [c - a, a + c]])
+        # The coefficients' common denominator 2^p enters T_j as 2^(-p j):
+        # a lambda^j factor, dropped with pi.
+        terms = self.poly_gamma.terms
+        ints, _ = _dyadic_ints([co.real for co in terms.values()])
+        poly = MultiPoly._from_terms(self.poly_gamma.nvars, dict(zip(terms, ints)), False)
+        traces, dets, orders = zip(*(
+            integrate_integer(chain_form(poly, exponent_matrix, j, 1), range(j * n), 1 << s)
+            for j in range(1, kmax + 1)
+        ))
+        scaled = [t * r for t, r in zip(traces, _trace_scales(dets, orders))]
+        coeffs = [
+            (_descending_coefficients(f), math.factorial(k))
+            for k, f in enumerate(_factorial_eks(scaled), 1)
+        ]
 
         def eks_at(gamma: float) -> np.ndarray:
             return np.array([_ratio_to_float(*v) for v in _family_eks(coeffs, gamma)])
@@ -400,50 +432,92 @@ class GammaFamily:
         return eks_at
 
 
-def _horner_coefficients(p: MultiPoly) -> tuple[list[int], int]:
-    """Integers ``c_d`` and ``s`` with ``p(x) = 2^s * sum_d c_d x^d``, highest degree first.
+def _dyadic_ints(values: Sequence[float]) -> tuple[list[int], int]:
+    """Integers ``m_i`` and ``s >= 0`` with ``values[i] = m_i / 2^s`` exactly, for binary floats."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    s = max(den.bit_length() - 1 for _, den in ratios)
+    return [num << (s - den.bit_length() + 1) for num, den in ratios], s
 
-    ``p`` is a one-variable polynomial with binary (mpmath) coefficients, so
-    the integers represent it exactly.
+
+def _trace_scales(dets: Sequence[int], orders: Sequence[int]) -> list[int]:
+    """The family traces' per-order scales ``r_j``, each rounded once.
+
+    ``r_j = floor(2^(j b) * rho_j / (2 d_j)^(o_j))`` with
+    ``rho_j = sqrt(d_1^j / d_j)``, ``d_j = dets[j - 1]`` and
+    ``o_j = orders[j - 1]``, computed by one ``math.isqrt`` of an integer
+    quotient (``isqrt(floor(x)) = floor(sqrt(x))``).  The common
+    ``b >= 0`` is the least that makes every ``r_j`` at least
+    ``2^(bits + 1)`` by bit-length bounds, with ``bits`` the binary digits
+    of ``FAMILY_DPS`` decimal ones, so each ``r_j`` is within a relative
+    ``10^-FAMILY_DPS`` of its exact value; ``2^(j b)`` is a ``lambda^j``
+    factor and cancels in ``e_k``.
     """
+    bits = math.ceil(FAMILY_DPS * math.log2(10))
+    d1 = dets[0]
+    dens = [d * (2 * d) ** (2 * o) for d, o in zip(dets, orders)]
+    b = max(
+        0,
+        *(
+            -(-(2 * bits + 2 + den.bit_length() - j * (d1.bit_length() - 1)) // (2 * j))
+            for j, den in enumerate(dens, 1)
+        ),
+    )
+    return [math.isqrt((d1**j << (2 * j * b)) // den) for j, den in enumerate(dens, 1)]
+
+
+def _factorial_eks(traces: Sequence[MultiPoly]) -> list[MultiPoly]:
+    """``k! E_k`` for k = 1..K from the power sums ``traces``: Newton's identities with no division.
+
+    ``k! E_k = sum_{i=1..k} (-1)^(i-1) ((k-1)! / (k-i)!) ((k-i)! E_(k-i)) T_i``,
+    so integer polynomials stay integer.
+    """
+    f: list[MultiPoly] = []  # f[k - 1] = k! E_k; 0! E_0 = 1
+    for k in range(1, len(traces) + 1):
+        acc, factor = None, 1  # factor = (k-1)! / (k-i)!
+        for i in range(1, k + 1):
+            term = traces[i - 1] * factor if i == k else f[k - i - 1] * traces[i - 1] * factor
+            acc = term if acc is None else (acc + term if i % 2 else acc - term)
+            factor *= k - i
+        f.append(acc)
+    return f
+
+
+def _descending_coefficients(p: MultiPoly) -> list[int]:
+    """The coefficients of a one-variable polynomial, highest degree first (``[]`` for zero)."""
     deg = p.degree()
-    if deg is None:
-        return [], 0
-    scaled = []
-    for d in range(deg, -1, -1):
-        c = p.terms.get((d,), 0)
-        man, exp = c.man_exp if c else (0, 0)
-        scaled.append((-man if c < 0 else man, exp))
-    s = min(exp for man, exp in scaled if man)
-    return [man << (exp - s) for man, exp in scaled], s
+    return [] if deg is None else [p.terms.get((d,), 0) for d in range(deg, -1, -1)]
 
 
 def _family_eks(coeffs: Sequence[tuple[list[int], int]], gamma: float) -> list[tuple[int, int]]:
     """``E_k(gamma) / T_1(gamma)^k`` for k = 1..kmax as exact ratios ``(num, den)``, ``den > 0``.
 
-    ``gamma`` is a binary float ``g / 2^r``, so Horner's rule on the
-    integers of :func:`_horner_coefficients` gives ``E_k(gamma)`` exactly,
-    as an integer times a power of two; each ratio is the quotient of those
-    integers with the powers of two folded into its numerator or its
-    denominator.  Nothing is rounded.
+    ``coeffs[k - 1] = (ints, q)`` stands for ``E_k(x) = sum_d ints[d] x^(D - d) / q``:
+    integer coefficients, highest degree ``D`` first, over a positive
+    integer divisor ``q``; ``E_1 = T_1``.  ``gamma`` is a binary float
+    ``g / 2^r``, so Horner's rule on the integers gives ``q E_k(gamma)``
+    exactly, as an integer over a power of two; each ratio is the quotient
+    of those integers with the divisors and the powers of two folded into
+    its numerator or its denominator.  Nothing is rounded.
     """
     g, den = float(gamma).as_integer_ratio()
     r = den.bit_length() - 1
     values = []
-    for ints, s in coeffs:
+    for ints, q in coeffs:
         acc, shift = (ints[0], 0) if ints else (0, 0)
         for c in ints[1:]:
             shift += r
             acc = acc * g + (c << shift)
-        values.append((acc, s - shift))  # E_k(gamma) = acc * 2^(s - shift)
-    t, t_exp = values[0]  # E_1 = T_1
+        values.append((acc, -shift, q))  # E_k(gamma) = acc * 2^(-shift) / q
+    t, t_exp, t_q = values[0]  # E_1 = T_1
     if t <= 0:
         raise ValueError(f"non-positive trace at gamma={gamma}")
-    ratios, t_pow = [], 1
-    for k, (acc, exp) in enumerate(values, 1):
+    ratios, t_pow, q_pow = [], 1, 1
+    for k, (acc, exp, q) in enumerate(values, 1):
         t_pow *= t
+        q_pow *= t_q
         e = exp - k * t_exp
-        ratios.append((acc << e, t_pow) if e >= 0 else (acc, t_pow << -e))
+        num, den = acc * q_pow, t_pow * q
+        ratios.append((num << e, den) if e >= 0 else (num, den << -e))
     return ratios
 
 
@@ -476,9 +550,10 @@ def z_root(
     """Locate the smallest parameter where ``e_k`` changes sign.
 
     The uniform grid over the range is evaluated in order up to its first
-    sign change, which is bisected; multiple crossings therefore resolve to
-    the smallest one, and the grid points past it are never evaluated (so a
-    trace that turns non-positive only there raises nothing).  A grid point
+    sign change, which is bisected from the two grid values already in hand;
+    multiple crossings therefore resolve to the smallest one, and the grid
+    points past it are never evaluated (so a trace that turns non-positive
+    only there raises nothing).  A grid point
     where ``e_k`` is exactly zero is the root.  An infinite ``delta`` is
     evaluated at a large proxy shift and confirmed at a ten-times-larger
     one.
@@ -512,7 +587,8 @@ def _z_root_finite(family, k, delta, gamma_range, samples, tol) -> ZRootResult:
             return ZRootResult(k, delta, g0, (g0, g0))
         cur = f(g1)
         if np.sign(prev) != np.sign(cur):
-            return ZRootResult(k, delta, numerics.bracket_root(f, g0, g1, tol), (g0, g1))
+            root = numerics._bracket_root(f, g0, g1, tol, (prev, cur))
+            return ZRootResult(k, delta, root, (g0, g1))
         prev = cur
     raise numerics.BracketError(
         f"e_{k} has no sign change on gamma range [{lo}, {hi}] at delta={delta}"

@@ -16,12 +16,16 @@ One engine serves two number types, and the inputs choose which: complex
 float64 arrays and coefficients run in double precision, while numpy object
 arrays and coefficients of ``mpmath`` numbers run at the working mpmath
 precision (real quadratic forms only).  The type-specific dense operations
-are in :mod:`polygauss.numerics`.
+are in :mod:`polygauss.numerics`.  :func:`integrate_integer` is the exact
+route for forms whose quadratic part and coefficients are Python ints (the
+family trace polynomials): it rounds nothing, and leaves the one irrational
+factor, the square root of the determinant, to its caller.
 
 Centered moments come from a :class:`WickTable`, memoized under packed
-integer keys (one byte per variable).  Its recurrence fixes the pivot, the
-partner order and the summation, so each moment is one well-defined
-sequence of float64 or mpmath operations.
+integer keys (one byte per variable).  It serves float64, mpmath and Python
+int covariances alike.  Its recurrence fixes the pivot, the partner order
+and the summation, so each moment is one well-defined sequence of float64
+or mpmath operations, and an exact integer over an int covariance.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "GaussianForm",
     "WickTable",
     "gaussian_integral",
+    "integrate_integer",
     "integrate_out",
     "poly_gaussian_integral",
 ]
@@ -71,8 +76,9 @@ def _picker(idx: Sequence[int]) -> Callable[[tuple], tuple]:
 class WickTable:
     """Memoized centered Gaussian moments for a fixed covariance.
 
-    The covariance is a complex array or an object array of mpmath numbers;
-    moments come out in the same number type.  Moments follow Isserlis'
+    The covariance is a complex array or an object array of mpmath numbers
+    or of Python ints; moments come out in the same number type (exactly,
+    for ints).  Moments follow Isserlis'
     recurrence on the lowest variable ``i`` with a nonzero exponent:
 
         E[w^alpha] = sum_j cov[i, j] * beta_j * E[w^(beta - e_j)],  beta = alpha - e_i,
@@ -248,6 +254,60 @@ class GaussianForm:
 
         poly_new = MultiPoly._from_terms(len(external), result)
         return GaussianForm(poly_new, quad_new, lin_new, const_new, scale_new)
+
+
+def integrate_integer(
+    form: GaussianForm, internal: Sequence[int], den: int = 1
+) -> tuple[MultiPoly, int, int]:
+    """Exact integral of an integer form over the listed variables, as ``(poly, det, order)``.
+
+    ``form`` stands for ``scale * poly(z) * exp(-z^T (quad / den) z)``:
+    ``quad`` is an object array of Python ints, ``den`` a positive int, the
+    coefficients and the scale are ints, there is no linear or constant
+    exponent term, and the internal block does not couple to the other
+    variables (as in every trace chain).  With ``d`` internal variables and
+    ``det`` the determinant of the internal block of ``quad``,
+
+        integral = pi^(d/2) * sqrt(den^d / det) * poly / (2 * det)^order,
+
+    with ``poly`` over the remaining variables, in their order, with int
+    coefficients.  The covariance ``(quad / den)^-1 / 2`` is
+    ``den * adj / (2 * det)``, so a moment of degree ``2m`` is the
+    :class:`WickTable` moment over the integer matrix ``den * adj`` divided
+    by ``(2 * det)^m``; ``order`` is the largest ``m`` in the prefactor and
+    each term carries the integer ``(2 * det)^(order - m)``.  Nothing is
+    rounded.  The block is factored exactly
+    (:func:`polygauss.numerics.integer_det_adjugate`), so a block that is not
+    positive definite raises :class:`polygauss.numerics.IndefiniteMatrixError`;
+    the degree cap is that of :meth:`GaussianForm.integrate`.
+    """
+    internal = sorted(set(int(i) for i in internal))
+    if any(i < 0 or i >= form.nvars for i in internal):
+        raise ValueError("internal index out of range")
+    external = [i for i in range(form.nvars) if i not in set(internal)]
+    quad = form.quad
+    if any(quad[np.ix_(internal, external)].flat) or any(form.lin) or form.const:
+        raise ValueError("integer integration takes an uncoupled block and no linear terms")
+    det, adj = numerics.integer_det_adjugate(quad[np.ix_(internal, internal)])
+    pick_int, pick_ext = _picker(internal), _picker(external)
+    alphas = [pick_int(e) for e in form.poly.terms]
+    deg = max(map(sum, alphas), default=0)
+    if deg > DEFAULT_DEGREE_CAP:
+        raise DegreeCapError(f"prefactor degree {deg} exceeds cap {DEFAULT_DEGREE_CAP}")
+    order = deg // 2
+    table = WickTable(den * adj)
+    # Sum coeff * W per (external monomial, m) first, so each sum meets its
+    # large weight (2 det)^(order - m) once.
+    sums: dict[tuple, int] = {}
+    for (exps, coeff), alpha in zip(form.poly.terms.items(), alphas):
+        value = table.moment(alpha)
+        if value:
+            key = (pick_ext(exps), sum(alpha) // 2)
+            sums[key] = sums.get(key, 0) + coeff * value
+    result: dict[tuple[int, ...], int] = {}
+    for (key, m), value in sums.items():
+        result[key] = result.get(key, 0) + form.scale * (2 * det) ** (order - m) * value
+    return MultiPoly._from_terms(len(external), result), det, order
 
 
 # -------------------------------------------------------------- conveniences

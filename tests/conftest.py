@@ -316,12 +316,14 @@ class WickTableReference:
 
 
 def family_eks_pointwise(family, kmax: int, delta: float):
-    """The family evaluator's former per-gamma route, as a reference.
+    """The family evaluator's former 100-digit route, as a reference.
 
-    Builds the raw trace polynomials ``T_j(gamma)`` as the evaluator does,
-    and per gamma evaluates them, normalizes ``T_j / T_1^j`` and runs
-    Newton's identities (``spectral.elementary_symmetric``) on the values.
-    The returned callable gives the ``FAMILY_DPS``-digit values.
+    Builds the raw trace polynomials ``T_j(gamma)`` on the shared engine in
+    ``FAMILY_DPS``-digit mpmath arithmetic, as the evaluator did before its
+    exact integer build, and per gamma evaluates them, normalizes
+    ``T_j / T_1^j`` and runs Newton's identities
+    (``spectral.elementary_symmetric``) on the values.  The returned
+    callable gives the ``FAMILY_DPS``-digit values.
     """
     from polygauss.spectral import FAMILY_DPS, chain_form, elementary_symmetric
 
@@ -350,6 +352,27 @@ def family_eks_pointwise(family, kmax: int, delta: float):
             return list(elementary_symmetric([r / raw[0] ** j for j, r in enumerate(raw, 1)]))
 
     return eks_at
+
+
+def horner_coefficients(p: MultiPoly) -> tuple[list[int], int]:
+    """``p`` in the family evaluator's coefficient format ``(ints, q)``.
+
+    ``p`` is a one-variable polynomial with binary (mpmath) coefficients,
+    so ``p(x) = sum_d ints[d] x^(D - d) / q`` holds exactly with integers
+    ``ints`` (highest degree ``D`` first) and a power of two ``q``; the
+    format ``spectral._family_eks`` reads.
+    """
+    deg = p.degree()
+    if deg is None:
+        return [], 1
+    scaled = []
+    for d in range(deg, -1, -1):
+        c = p.terms.get((d,), 0)
+        man, exp = c.man_exp if c else (0, 0)
+        scaled.append((-man if c < 0 else man, exp))
+    s = min(exp for man, exp in scaled if man)
+    ints = [man << (exp - s) for man, exp in scaled]
+    return ([c << s for c in ints], 1) if s >= 0 else (ints, 1 << -s)
 
 
 def z_root_eager(family, k, delta, gamma_range=(0.0, 20.0), samples=64, tol=1e-6):

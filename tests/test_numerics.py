@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -179,6 +180,81 @@ def test_sqrt_det_and_inverse_factor_an_mpmath_block_once(monkeypatch):
     assert np.array_equal(inv, np.linalg.inv(m))
 
 
+def _dyadic_int_matrix(m: np.ndarray) -> list[list[int]]:
+    """A float matrix times the least power of two that makes it integral."""
+    s = max(Fraction(float(v)).denominator.bit_length() - 1 for v in m.flat)
+    return [[int(Fraction(float(v)) * 2**s) for v in row] for row in m]
+
+
+def _fraction_det_inverse(m: list[list[int]]) -> tuple[Fraction, list[list[Fraction]]]:
+    """Determinant and inverse by Gauss-Jordan elimination on fractions, with row pivoting."""
+    size = len(m)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == r)) for i in range(size)]
+           for r, row in enumerate(m)]
+    det = Fraction(1)
+    for k in range(size):
+        p = next(i for i in range(k, size) if aug[i][k] != 0)
+        if p != k:
+            aug[k], aug[p] = aug[p], aug[k]
+            det = -det
+        det *= aug[k][k]
+        aug[k] = [v / aug[k][k] for v in aug[k]]
+        for i in range(size):
+            if i != k and aug[i][k] != 0:
+                aug[i] = [a - aug[i][k] * b for a, b in zip(aug[i], aug[k])]
+    return det, [row[size:] for row in aug]
+
+
+def test_integer_det_adjugate_matches_fraction_gauss_jordan():
+    rng = np.random.default_rng(11)
+    for size in range(1, 7):
+        for scale in (1.0, 1e-3, 1e5):
+            g = rng.normal(size=(size, size))
+            m = _dyadic_int_matrix(scale * (g @ g.T + 0.1 * np.eye(size)))
+            det, adj = numerics.integer_det_adjugate(np.array(m, dtype=object))
+            ref_det, ref_inv = _fraction_det_inverse(m)
+            assert type(det) is int and det == ref_det > 0
+            assert adj.dtype == object and adj.shape == (size, size)
+            for i in range(size):
+                for j in range(size):
+                    assert type(adj[i, j]) is int and adj[i, j] == ref_det * ref_inv[i][j]
+    # Nested lists are accepted too.
+    det, adj = numerics.integer_det_adjugate([[2, 1], [1, 3]])
+    assert det == 5 and adj.tolist() == [[3, -1], [-1, 2]]
+
+
+def test_integer_det_adjugate_rejects_what_is_not_positive_definite():
+    for m in (
+        [[0]],
+        [[-2]],
+        [[1, 2], [2, 4]],  # singular
+        [[1, 0], [0, -3]],
+        [[2, 3], [3, 2]],  # indefinite, positive diagonal
+        [[4, 2, 0], [2, 1, 0], [0, 0, 5]],  # singular leading 2 x 2 block
+        [[-1, 0], [0, -1]],
+    ):
+        with pytest.raises(numerics.IndefiniteMatrixError):
+            numerics.integer_det_adjugate(m)
+    with pytest.raises(numerics.NotSymmetricError):
+        numerics.integer_det_adjugate([[2, 1], [0, 2]])
+    with pytest.raises(TypeError):
+        numerics.integer_det_adjugate([[2.0]])
+    with pytest.raises(ValueError):
+        numerics.integer_det_adjugate(np.empty((0, 0), dtype=object))
+
+
+def test_exact_numbers_stay_ints_beside_integer_arrays():
+    ints = np.array([[2, 1], [1, 3]], dtype=object)
+    assert numerics.is_exact(ints) and numerics.is_exact(7)
+    assert not numerics.is_exact(np.array([[2.0]])) and not numerics.is_exact(True)
+    assert not numerics.is_exact(np.array([[mpmath.mpf(2)]], dtype=object))
+    assert type(numerics.as_number(3, ints)) is int
+    assert type(numerics.as_number(3, 5)) is int
+    assert type(numerics.as_number(3.0, ints)) is mpmath.mpf
+    assert type(numerics.as_number(3, np.array([[mpmath.mpf(2)]], dtype=object))) is mpmath.mpf
+    assert type(numerics.as_number(3)) is complex
+
+
 def test_bracket_root_linear():
     assert abs(numerics.bracket_root(lambda x: x - 2.0, 0.0, 5.0, 1e-10) - 2.0) < 1e-9
 
@@ -206,3 +282,23 @@ def test_bracket_root_requires_sign_change():
 def test_bracket_root_rejects_a_tolerance_that_is_not_positive(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
         numerics.bracket_root(lambda x: x, -1.0, 1.0, tol)
+
+
+def test_bracket_root_reuses_known_end_values():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 2.0
+
+    want = numerics.bracket_root(f, 0.0, 5.0, 1e-10)
+    assert calls[:2] == [0.0, 5.0]
+    evaluated = calls[2:]
+    calls.clear()
+    assert numerics._bracket_root(f, 0.0, 5.0, 1e-10, (-2.0, 3.0)) == want
+    assert calls == evaluated
+    assert numerics._bracket_root(f, 0.0, 5.0, 1e-10, (0.0, 3.0)) == 0.0
+    with pytest.raises(numerics.BracketError):
+        numerics._bracket_root(f, 0.0, 5.0, 1e-10, (1.0, 3.0))
+    with pytest.raises(ValueError):
+        numerics._bracket_root(f, 5.0, 0.0, 1e-10, (3.0, -2.0))

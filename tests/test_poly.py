@@ -63,6 +63,28 @@ def test_mpmath_coefficients_keep_their_type_and_are_never_pruned():
         assert p.rename_vars(3, [2, 0]).terms == {(0, 0, 1): 1, (1, 0, 0): tiny}
 
 
+def test_int_coefficients_stay_exact_and_are_never_pruned():
+    # (1e15 x + y - 3)(x + 1e16): coefficients from 1 to about 1e31, so a
+    # float64 product would prune the x*y term below 1e-14 of the largest.
+    p = MultiPoly._from_terms(2, {(1, 0): 10**15, (0, 1): 1, (0, 0): -3})
+    q = MultiPoly._from_terms(2, {(1, 0): 1, (0, 0): 10**16})
+    want = {
+        (2, 0): 10**15,
+        (1, 0): 10**31 - 3,
+        (1, 1): 1,
+        (0, 1): 10**16,
+        (0, 0): -3 * 10**16,
+    }
+    for r in (p * q, q * p):
+        assert r.terms == want
+        assert all(type(c) is int for c in r.terms.values())
+    for r in (p + q, p - q, 3 * p, p * -2, p.rename_vars(3, [2, 0]), (p * q) ** 2):
+        assert all(type(c) is int for c in r.terms.values())
+    assert (p * 3).terms == {e: 3 * c for e, c in p.terms.items()}
+    as_complex = MultiPoly(2, p.terms) * MultiPoly(2, q.terms)
+    assert (1, 1) not in as_complex.terms  # the float64 product prunes it
+
+
 def test_scalar_factors_and_divisors_keep_the_coefficient_type():
     with mpmath.workdps(50):
         p = MultiPoly(1, {(0,): mpmath.mpf(3), (2,): mpmath.mpf("0.5")})

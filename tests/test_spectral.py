@@ -11,6 +11,7 @@ from conftest import (
     elementary_symmetric_det,
     elementary_symmetric_from_eigenvalues,
     family_eks_pointwise,
+    horner_coefficients,
     mercer_search_reference,
     random_kernel_valid_triple,
     random_kernel,
@@ -27,7 +28,7 @@ from polygauss.families import (
 )
 from polygauss.gaussian import GaussianTriple, eval_gaussian_grid
 from polygauss.kernels import PolyGaussianKernel
-from polygauss.numerics import BracketError
+from polygauss.numerics import BracketError, IndefiniteMatrixError
 from polygauss.poly import MultiPoly
 
 
@@ -605,6 +606,130 @@ def test_family_evaluator_matches_pointwise_newton_route(monkeypatch):
                         assert abs(v - w) <= mpmath.mpf("1e-90"), (k, delta, gamma)
 
 
+def test_exact_family_build_matches_the_100_digit_reference_bit_for_bit():
+    # The integer build against the 100-digit mpmath route it replaced,
+    # on the 64-point zscan grid and around each (k, delta) root.
+    fam = kappa_gamma_family()
+    rng = np.random.default_rng(91)
+    deltas = [0.0, 10.0, 50.0, 250.0, 1e4, 1e5] + list(rng.uniform(0.0, 1000.0, 3))
+    grid = [float(g) for g in np.linspace(0.0, 20.0, 64)]
+    for k in (3, 4, 5):
+        for delta in deltas:
+            evaluator = fam.ek_evaluator(k, delta)
+            reference = family_eks_pointwise(fam, k, delta)
+            root = spectral.z_root(fam, k, delta).gamma_root
+            near = [root - 1e-6, np.nextafter(root, 0.0), root, np.nextafter(root, 20.0)]
+            for gamma in grid + near + [root + 1e-6]:
+                want = np.array([float(v) for v in reference(gamma)])
+                assert np.array_equal(evaluator(gamma), want), (k, delta, gamma)
+
+
+def test_exact_family_build_matches_the_reference_on_a_two_mode_family():
+    # Dense A and C, so the chain blocks couple the two modes.
+    rng = np.random.default_rng(94)
+    a = rng.normal(size=(2, 2))
+    c = rng.normal(size=(2, 2))
+    triple = GaussianTriple(
+        a @ a.T + 2.5 * np.eye(2), np.zeros((2, 2)), 0.3 * c @ c.T + 0.4 * np.eye(2)
+    )
+    terms = {(0, 0, 0, 0, 0): 1.0, (1, 0, 1, 0, 1): 0.75, (0, 1, 0, 1, 0): -0.5,
+             (2, 0, 0, 0, 1): 0.25, (0, 0, 2, 0, 1): 0.25, (1, 1, 0, 0, 0): 0.125,
+             (0, 0, 1, 1, 0): 0.125}
+    fam = spectral.GammaFamily(MultiPoly(5, terms), triple)
+    for k, delta in ((2, 0.0), (3, 3.7), (3, 250.0)):
+        evaluator = fam.ek_evaluator(k, delta)
+        reference = family_eks_pointwise(fam, k, delta)
+        for gamma in np.linspace(-0.5, 3.0, 8):
+            want = np.array([float(v) for v in reference(gamma)])
+            assert np.array_equal(evaluator(gamma), want), (k, delta, gamma)
+
+
+def _recorded_traces(monkeypatch, fam, k, delta, orbits=None):
+    """The exact ``(trace, det, order)`` of every order of one family build."""
+    parts = []
+    integrate = spectral.integrate_integer
+
+    def recorded(form, internal, den):
+        parts.append(integrate(form, internal, den))
+        return parts[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "integrate_integer", recorded)
+        if orbits is not None:
+            m.setattr(spectral, "_chain_orbits", orbits)
+        fam.ek_evaluator(k, delta)
+    return [(list(p.terms.items()), det, order) for p, det, order in parts]
+
+
+def test_folded_and_unfolded_chains_give_identical_exact_traces(monkeypatch):
+    fam = kappa_gamma_family()
+    for k, delta in ((3, 0.0), (4, 37.125), (5, 1e5), (5, float(np.pi))):
+        folded = _recorded_traces(monkeypatch, fam, k, delta)
+        full = _recorded_traces(monkeypatch, fam, k, delta, _full_links)
+        assert len(folded) == k and folded == full, (k, delta)
+        assert all(type(c) is int for terms, _, _ in folded for _, c in terms)
+
+
+def test_family_trace_scales_are_rounded_once_to_family_precision():
+    # r_j = floor(2^(j b) rho_j / (2 d_j)^o_j) for one common b: against
+    # 200-digit values, r_j / x_j = 2^(j b) (r_1 / x_1)^j up to the rounding.
+    rng = np.random.default_rng(92)
+    bits = math.ceil(spectral.FAMILY_DPS * math.log2(10))
+    for _ in range(20):
+        kmax = int(rng.integers(1, 7))
+        dets = [int(v) for v in rng.integers(1, 2**62, size=kmax)]
+        dets = [d << int(rng.integers(0, 200)) for d in dets]
+        orders = [int(v) for v in rng.integers(0, 9, size=kmax)]
+        scales = spectral._trace_scales(dets, orders)
+        with mpmath.workdps(200):
+            exact = [mpmath.sqrt(mpmath.mpf(dets[0]) ** j / dets[j - 1])
+                     / (2 * mpmath.mpf(dets[j - 1])) ** orders[j - 1]
+                     for j in range(1, kmax + 1)]
+            unit = scales[0] / exact[0]  # 2^b up to the rounding of r_1
+            b = round(mpmath.log(unit, 2))
+            for j, (r, x) in enumerate(zip(scales, exact), 1):
+                assert r >= 2 ** (bits + 1), j
+                err = abs(r - x * mpmath.mpf(2) ** (j * b)) / (x * mpmath.mpf(2) ** (j * b))
+                assert err < mpmath.mpf(10) ** -spectral.FAMILY_DPS, j
+
+
+def _int_value(p: MultiPoly, x: int) -> int:
+    return sum(c * x ** e for (e,), c in p.terms.items())
+
+
+def test_factorial_eks_are_newtons_identities_without_division():
+    rng = np.random.default_rng(93)
+    for _ in range(10):
+        kmax = int(rng.integers(1, 7))
+        traces = [
+            MultiPoly._from_terms(1, {
+                (d,): int(rng.integers(-10**18, 10**18)) * 10**40 + 1 for d in range(j + 1)
+            })
+            for j in range(1, kmax + 1)
+        ]
+        got = spectral._factorial_eks(traces)
+        assert all(type(c) is int for f in got for c in f.terms.values())
+        for x in (-3, 0, 2, 7):
+            values = [Fraction(_int_value(t, x)) for t in traces]
+            want = spectral.elementary_symmetric(values)
+            for k, (f, e) in enumerate(zip(got, want), 1):
+                assert Fraction(_int_value(f, x), math.factorial(k)) == e, (k, x)
+
+
+def test_family_evaluator_rejects_a_chain_block_that_is_not_positive_definite():
+    fam = kappa_gamma_family()  # (A, C) = (3/2, 1)
+    for delta in (-1.0, -1.2, -2.0):
+        with pytest.raises(IndefiniteMatrixError):
+            fam.ek_evaluator(3, delta)
+    assert fam.ek_evaluator(3, -0.999)(1.0)[0] == 1.0
+    # A + delta < 0 < C + delta: the one-point block 4 (C + delta) is
+    # positive, the two-point chain block is not.
+    other = spectral.GammaFamily(fam.poly_gamma, GaussianTriple.from_scalars(0.5, 1.0))
+    assert other.ek_evaluator(1, -0.7)(1.0)[0] == 1.0
+    with pytest.raises(IndefiniteMatrixError):
+        other.ek_evaluator(3, -0.7)
+
+
 def _mp_ratio(ratio: tuple[int, int]) -> mpmath.mpf:
     num, den = ratio
     return mpmath.mpf(num) / den
@@ -619,7 +744,7 @@ def test_exact_horner_matches_pointwise_polynomial_values():
             MultiPoly(1, {(0,): -third, (2,): mpmath.mpf("1e-30"), (3,): mpmath.mpf(7)}),
             MultiPoly.zero(1),
         ]
-        coeffs = [spectral._horner_coefficients(p) for p in polys]
+        coeffs = [horner_coefficients(p) for p in polys]
         for gamma in (0.0, -0.5, 0.1, 2.75, 1e5):
             got = [_mp_ratio(v) for v in spectral._family_eks(coeffs, gamma)]
             g = (mpmath.mpf(gamma),)
@@ -646,7 +771,7 @@ def test_family_eks_are_exact_ratios_rounded_once():
             MultiPoly.zero(1),
             MultiPoly(1, {(1,): mpmath.mpf(-5) / 7, (4,): mpmath.mpf("1e-40")}),
         ]
-        coeffs = [spectral._horner_coefficients(p) for p in polys]
+        coeffs = [horner_coefficients(p) for p in polys]
     for gamma in (0.0, -0.5, -1.25, 0.1, 2.75, 1e5, 2.0**-60):
         g = Fraction(gamma)
         values = [sum(_exact(c) * g ** e[0] for e, c in p.terms.items()) for p in polys]
@@ -739,7 +864,7 @@ def test_lazy_root_scan_keeps_the_exact_zero_and_the_bracket_error():
     assert spy.calls == 1
     spy = _CountingFamily(lambda g: g - 5.0)
     assert spectral.z_root(spy, 3, 0.0, samples=5) == spectral.ZRootResult(3, 0.0, 5.0, (0.0, 5.0))
-    assert spy.calls == 2 + 2  # two grid points, then bracket_root's two end points
+    assert spy.calls == 2  # two grid points; the bisection reuses their values
 
 
 def test_family_evaluator_rejects_non_positive_trace():

@@ -330,3 +330,46 @@ def test_uncoupled_block_integrates_with_a_parameter_riding_along():
                 want = wick.poly_gaussian_integral(at_g, np.array(quad)[:2, :2])
                 got = complex(form.scale * form.poly((number(g),)))
                 assert abs(got - want) <= 1e-12 * abs(want), (number, g)
+
+
+def _integer_form(quad, terms, scale=1):
+    nv = len(quad)
+    return wick.GaussianForm(
+        MultiPoly._from_terms(nv, dict(terms)),
+        np.array(quad, dtype=object),
+        np.zeros(nv, dtype=object),
+        0,
+        scale,
+    )
+
+
+def test_integer_integration_matches_the_mpmath_engine():
+    # exp(-z^T (N / 8) z) over (z0, z1), a parameter z2 riding along; odd,
+    # even and constant terms in the integrated variables.
+    quad = [[6, 1, 0], [1, 3, 0], [0, 0, 0]]
+    terms = {(2, 0, 0): 3, (1, 1, 1): -2, (0, 2, 2): 5, (0, 0, 1): 7, (4, 0, 0): 1,
+             (1, 0, 0): 9, (3, 3, 1): -4}
+    form = _integer_form(quad, terms, scale=3)
+    assert type(form.const) is int and type(form.scale) is int
+    poly, det, order = wick.integrate_integer(form, [0, 1], 8)
+    assert det == 17 and order == 3 and poly.nvars == 1
+    assert all(type(c) is int for c in poly.terms.values())
+    with mpmath.workdps(60):
+        mp_quad = np.array([[mpmath.mpf(v) / 8 for v in row] for row in quad], dtype=object)
+        mp_poly = MultiPoly(3, {e: mpmath.mpf(c) for e, c in terms.items()})
+        ref = wick.GaussianForm(mp_poly, mp_quad, np.array([mpmath.mpf(0)] * 3, dtype=object),
+                                0, 3).integrate([0, 1])
+        for g in (-1.5, 0.0, 0.25, 3.0):
+            x = (mpmath.mpf(g),)
+            got = mpmath.pi * mpmath.sqrt(mpmath.mpf(8) ** 2 / det) * poly(x) / (2 * det) ** order
+            want = ref.scale * ref.poly(x)
+            assert abs(got - want) <= mpmath.mpf("1e-55") * abs(want), g
+
+
+def test_integer_integration_rejects_what_it_cannot_integrate():
+    with pytest.raises(IndefiniteMatrixError):
+        wick.integrate_integer(_integer_form([[1, 2], [2, 1]], {(2, 0): 1}), [0, 1])
+    with pytest.raises(ValueError, match="uncoupled"):
+        wick.integrate_integer(_integer_form([[2, 1], [1, 2]], {(2, 0): 1}), [0])
+    with pytest.raises(wick.DegreeCapError):
+        wick.integrate_integer(_integer_form([[2]], {(18,): 1}), [0])

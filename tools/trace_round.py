@@ -33,6 +33,9 @@ SUMMARY = (
     "spectral.GammaFamily.ek_evaluator.eval.calls",
     "spectral.GammaFamily.ek_evaluator.eval.busy_s",
     "spectral.GammaFamily.ek_evaluator.busy_s",
+    "spectral.chain_form.busy_s",
+    "wick.GaussianForm.integrate.busy_s",
+    "wick.WickTable.moment.busy_s",
     "spectral.z_root.busy_s",
     "numerics.bracket_root.calls",
     "cli.main.self_s",
