@@ -249,6 +249,8 @@ def cmd_npt(args) -> int:
             "coeffs": verdict.mercer.coeffs,
             "value": verdict.mercer.value,
         }
+    if verdict.sweep_kmax is not None:
+        doc["ek_kmax"] = verdict.sweep_kmax
     if verdict.sweep is not None:
         doc["ek_sweep"] = {"eks": verdict.sweep.eks, "verdict": verdict.sweep.verdict}
     _emit(doc, args, f"npt: {verdict.verdict} at {verdict.stage}")

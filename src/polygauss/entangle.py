@@ -25,6 +25,7 @@ import numpy as np
 from . import spectral
 from .gaussian import GaussianPositivity, GaussianTriple, gaussian_positive
 from .kernels import PolyGaussianKernel
+from .wick import DEFAULT_DEGREE_CAP
 
 __all__ = [
     "Bipartition",
@@ -103,6 +104,9 @@ class NptVerdict:
     gaussian_verdict: GaussianPositivity
     sweep: Optional[spectral.SpectralReport] = None
     mercer: Optional[spectral.MercerCertificate] = None
+    # Order the escalated e_k sweep ran to: kmax, or less where the degree
+    # cap cuts the chain; None without escalation.
+    sweep_kmax: Optional[int] = None
 
     @property
     def verdict(self) -> str:
@@ -124,7 +128,9 @@ def npt_gate(
     part tested spectrally; failure there certifies NPT for any polynomial
     factor.  With ``escalate=True`` an inconclusive Gaussian gate is followed
     by the e_k sweep and the Mercer search on the transposed kernel, either
-    of which can still upgrade the verdict.
+    of which can still upgrade the verdict.  The sweep runs to the highest
+    order up to ``kmax`` whose chain prefactor fits the degree cap,
+    ``DEFAULT_DEGREE_CAP // deg P`` (``sweep_kmax``).
     """
     tr = spectral.moment(kernel, 1)
     if tr <= 0.0:
@@ -137,15 +143,18 @@ def npt_gate(
         return NptVerdict(True, "gaussian_gate", gv)
     if not escalate:
         return NptVerdict(False, "gaussian_gate", gv)
-    sweep = spectral.positivity_sweep(transposed, kmax)
+    deg = transposed.poly.degree() or 0
+    # The trace above integrated order 1, so the reach is at least 1.
+    reach = min(kmax, DEFAULT_DEGREE_CAP // deg) if deg else kmax
+    sweep = spectral.positivity_sweep(transposed, reach)
     if sweep.certified_not_psd:
-        return NptVerdict(True, "ek_sweep", gv, sweep=sweep)
+        return NptVerdict(True, "ek_sweep", gv, sweep=sweep, sweep_kmax=reach)
     cert = spectral.mercer_search(
         transposed, trials=trials, points_per_trial=points_per_trial, seed=seed
     )
     if cert is not None:
-        return NptVerdict(True, "mercer_search", gv, sweep=sweep, mercer=cert)
-    return NptVerdict(False, "escalated", gv, sweep=sweep)
+        return NptVerdict(True, "mercer_search", gv, sweep=sweep, mercer=cert, sweep_kmax=reach)
+    return NptVerdict(False, "escalated", gv, sweep=sweep, sweep_kmax=reach)
 
 
 def gaussian_separability(triple: GaussianTriple, b: Bipartition) -> str:

@@ -222,11 +222,14 @@ def _npt_stage(kernel, partition, config: PipelineConfig) -> tuple[str, dict]:
         points_per_trial=config.points_per_trial,
         seed=config.seed,
     )
-    return "info", {
+    payload = {
         "verdict": verdict.verdict,
         "stage": verdict.stage,
         "pt_mu_max": verdict.gaussian_verdict.mu_max,
     }
+    if verdict.sweep_kmax is not None:
+        payload["ek_kmax"] = verdict.sweep_kmax
+    return "info", payload
 
 
 def _ek_payload(delta: float, report: spectral.SpectralReport) -> dict:

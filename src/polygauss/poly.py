@@ -229,13 +229,15 @@ class MultiPoly:
     # ------------------------------------------------------------ evaluation
 
     def __call__(self, point: Sequence[float]) -> complex:
+        """The value at ``point``, on Python scalars: exact for int coefficients at int points."""
         point = np.asarray(point)
         if point.shape != (self.nvars,):
             raise ValueError(f"point has shape {point.shape}, expected ({self.nvars},)")
+        coords = point.tolist()
         total = 0
         for exps, coeff in self._terms.items():
             val = coeff
-            for z, e in zip(point, exps):
+            for z, e in zip(coords, exps):
                 if e:
                     val *= z**e
             total += val

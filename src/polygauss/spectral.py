@@ -81,6 +81,9 @@ DELTA_INFINITY_PROXY = 1.0e4
 DELTA_INFINITY_CONFIRM = 1.0e5
 MERCER_MAX_BLOCK = 128  # trials per stacked Gram build; bounds its memory
 MERCER_TOL = 1e-9  # a Mercer certificate needs form / |c|^2 < -MERCER_TOL * scale
+# Trial blocks of Mercer draws kept: the eight blocks of a 200-trial search,
+# for a few point counts and dimensions.
+MERCER_DRAW_CACHE_SIZE = 32
 # Decimal digits of the family sweep: the relative precision to which the
 # exact integer build rounds each trace order's scale rho_j (the one
 # irrational number of a build).  Large shifts cluster the eigenvalues and
@@ -723,11 +726,10 @@ def mercer_search(
     while start < trials:
         block = range(start, min(start + size, trials))
         start, size = block.stop, min(2 * size, MERCER_MAX_BLOCK)
+        draws = _mercer_draws(seed, block.start, block.stop, points_per_trial, kernel.n)
         clouds = [
-            cloud_scale
-            * factors[trial % len(factors)]
-            * np.random.default_rng([seed, trial]).standard_normal((points_per_trial, kernel.n))
-            for trial in block
+            cloud_scale * factors[trial % len(factors)] * draw
+            for trial, draw in zip(block, draws)
         ]
         grams = kernel.gram(np.stack(clouds))
         grams = 0.5 * (grams + np.conj(grams).swapaxes(-1, -2))
@@ -747,6 +749,16 @@ def mercer_search(
             if cert is not None:
                 return cert
     return None
+
+
+@functools.lru_cache(maxsize=MERCER_DRAW_CACHE_SIZE)
+def _mercer_draws(seed: int, start: int, stop: int, points: int, n: int) -> np.ndarray:
+    """Read-only normal draws of trials ``start..stop-1``, each from ``default_rng([seed, t])``."""
+    draws = np.stack(
+        [np.random.default_rng([seed, t]).standard_normal((points, n)) for t in range(start, stop)]
+    )
+    draws.flags.writeable = False
+    return draws
 
 
 def _factors_with_shift(grams: np.ndarray, shifts: np.ndarray) -> bool:

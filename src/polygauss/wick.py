@@ -21,18 +21,28 @@ route for forms whose quadratic part and coefficients are Python ints (the
 family trace polynomials): it rounds nothing, and leaves the one irrational
 factor, the square root of the determinant, to its caller.
 
-Centered moments come from a :class:`WickTable`, memoized under packed
-integer keys (one byte per variable).  It serves float64, mpmath and Python
-int covariances alike.  Its recurrence fixes the pivot, the partner order
-and the summation, so each moment is one well-defined sequence of float64
-or mpmath operations, and an exact integer over an int covariance.
+Centered moments come from a :class:`WickTable`, and an integration asks
+for all of its terms' moments in one call.  Isserlis' recurrence on packed
+integer keys (one byte per variable) runs once per key of the multi-indices
+of the terms, in order, and the covariance's nonzero pattern, and is kept
+as a straight-line program in a bounded LRU (``PLAN_CACHE_SIZE``).  Each
+integration replays its program on its own covariance: the pair products
+``cov[i, j] * beta_j`` once, then ``total = 0; total += cb * E[...]`` per
+moment in the recurrence's order.  The shifted weights of one kernel and
+its normalisations share a program, and one program serves float64, mpmath
+and Python int covariances alike.  The recurrence fixes the pivot, the
+partner order and the summation, so each moment is one well-defined
+sequence of float64 or mpmath operations, and an exact integer over an int
+covariance.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import lru_cache, reduce
+from itertools import chain, islice
+from operator import add, itemgetter, mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,6 +67,10 @@ REAL_RTOL = 1e-9  # tolerated relative imaginary residue on must-be-real results
 # WickTable packs a multi-index with int.from_bytes: one byte per variable.
 FIELD_BITS = 8
 MAX_EXPONENT = (1 << FIELD_BITS) - 1
+# Compiled Wick programs kept by WickTable.moments, above the distinct
+# monomial supports of one benchmark round (37 for `sweep`, 29 for
+# `screen`): an LRU smaller than a cyclic schedule's working set thrashes.
+PLAN_CACHE_SIZE = 64
 
 logger = logging.getLogger(__name__)
 
@@ -73,22 +87,123 @@ def _picker(idx: Sequence[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*idx) if idx else lambda e: ()
 
 
-class WickTable:
-    """Memoized centered Gaussian moments for a fixed covariance.
+class _Program:
+    """Isserlis' recurrence on packed keys, recorded as a straight-line program.
 
-    The covariance is a complex array or an object array of mpmath numbers
-    or of Python ints; moments come out in the same number type (exactly,
-    for ints).  Moments follow Isserlis'
-    recurrence on the lowest variable ``i`` with a nonzero exponent:
+    Slot 0 holds ``E[w^0] = 1`` and slot 1 the ``0`` of an odd multi-index.
+    Every later slot is one moment of even degree, pivoting on the lowest
+    variable ``i`` with a nonzero exponent:
 
         E[w^alpha] = sum_j cov[i, j] * beta_j * E[w^(beta - e_j)],  beta = alpha - e_i,
 
-    summed as ``total = 0; total += (cov[i, j] * beta_j) * E[...]`` over the
-    nonzero ``cov[i, j]`` in ascending ``j``.  A multi-index is packed into
-    one int key, ``FIELD_BITS`` bits per variable with variable 0 lowest, so
-    the pivot is the lowest nonzero field and each step down is one integer
-    subtraction.  An exponent above ``MAX_EXPONENT`` raises instead of
-    spilling into the next field.
+    over the nonzero ``cov[i, j]`` in ascending ``j``.  The slot records
+    each term as an entry ``(pair, src)``: ``pair`` indexes the distinct
+    triples ``(i, j, beta_j)`` and ``src`` is the earlier slot of
+    ``E[w^(beta - e_j)]``.  A multi-index is packed into one int key,
+    ``FIELD_BITS`` bits per variable with variable 0 lowest, so the pivot is
+    the lowest nonzero field and each step down is one integer subtraction.
+    Only the covariance's nonzero pattern enters, so one program serves
+    every covariance that shares it.
+    """
+
+    def __init__(self, nvars: int, pattern: bytes) -> None:
+        self._units = [1 << (FIELD_BITS * i) for i in range(nvars)]
+        # Per pivot row: (bit offset of j, key of e_j, j) over the nonzero
+        # entries in ascending j.
+        self._rows = [
+            [(FIELD_BITS * j, self._units[j], j) for j in range(nvars) if pattern[i * nvars + j]]
+            for i in range(nvars)
+        ]
+        self.slots = {0: 0}
+        self.pairs: dict[tuple[int, int, int], int] = {}
+        self.lengths: list[int] = []  # entries of each slot from slot 2 on
+        self.ops: list[int] = []  # pair index of each entry
+        self.srcs: list[int] = []  # source slot of each entry
+
+    def slot(self, key: int) -> int:
+        """The slot of the even-degree moment under ``key``, compiled if new."""
+        slot = self.slots.get(key)
+        return self._fill(key) if slot is None else slot
+
+    def _fill(self, key: int) -> int:
+        slots, pairs = self.slots, self.pairs
+        i = ((key & -key).bit_length() - 1) // FIELD_BITS
+        beta = key - self._units[i]
+        ops, srcs = [], []
+        for shift, step, j in self._rows[i]:
+            bj = (beta >> shift) & MAX_EXPONENT
+            if bj:
+                gamma = beta - step
+                src = slots.get(gamma)
+                srcs.append(self._fill(gamma) if src is None else src)
+                ops.append(pairs.setdefault((i, j, bj), len(pairs)))
+        self.lengths.append(len(ops))
+        self.ops.extend(ops)
+        self.srcs.extend(srcs)
+        slots[key] = slot = len(self.lengths) + 1
+        return slot
+
+
+def _compact(values: list) -> Sequence[int]:
+    """``values`` as bytes when every one fits in a byte (the usual case), else as a tuple."""
+    return bytes(values) if max(values, default=0) <= 0xFF else tuple(values)
+
+
+def _replay(rows: list, pairs: Sequence[int], lengths, ops, srcs, vals: list) -> None:
+    """Append the moment of each compiled slot to ``vals`` for the covariance ``rows``.
+
+    ``cov[i, j] * beta_j`` is formed once per pair; each slot then sums
+    ``total = 0; total += (cov[i, j] * beta_j) * vals[src]`` over its
+    entries in order, the recurrence's own operations, so float64, mpmath
+    and int moments equal the recursion's bit for bit.
+    """
+    it = iter(pairs)
+    cb = [rows[i][j] * b for i, j, b in zip(it, it, it)]
+    products = map(mul, map(cb.__getitem__, ops), map(vals.__getitem__, srcs))
+    append = vals.append
+    for n in lengths:
+        append(reduce(add, islice(products, n), 0))
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(nvars: int, packed: bytes, pattern: bytes) -> tuple:
+    """Program for the multi-indices packed in ``packed``, ``nvars`` bytes each.
+
+    Returns ``(pairs, lengths, ops, srcs, out)``, flat int sequences
+    (:func:`_compact`), with ``out`` the slot of each multi-index in order.
+    The key is the ordered multi-indices of a polynomial's terms and the
+    nonzero pattern of the covariance, so the shifted weights of one
+    kernel, its normalisations and every number type replay one program.
+    """
+    program = _Program(nvars, pattern)
+    out = [
+        1 if sum(alpha) % 2 else program.slot(int.from_bytes(alpha, "little"))
+        for alpha in (packed[start : start + nvars] for start in range(0, len(packed), nvars))
+    ]
+    pairs = list(chain.from_iterable(program.pairs))  # (i, j, beta_j) in index order
+    return tuple(map(_compact, (pairs, program.lengths, program.ops, program.srcs, out)))
+
+
+def _pack(alphas: Sequence[tuple]) -> bytes:
+    """The multi-indices as one byte per exponent."""
+    try:
+        return b"".join(map(bytes, alphas))
+    except ValueError:
+        bad = next(a for a in alphas if not all(0 <= e <= MAX_EXPONENT for e in a))
+        raise ValueError(f"multi-index {bad} has an exponent outside 0..{MAX_EXPONENT}") from None
+
+
+class WickTable:
+    """Centered Gaussian moments for a fixed covariance.
+
+    The covariance is a complex array or an object array of mpmath numbers
+    or of Python ints; moments come out in the same number type (exactly,
+    for ints).  :meth:`moments` replays the :class:`_Program` compiled for
+    the multi-indices and the covariance's nonzero pattern, cached in
+    :func:`_plan`.  A moment of even degree is summed as
+    ``total = 0; total += (cov[i, j] * beta_j) * E[...]`` over the nonzero
+    ``cov[i, j]`` in ascending ``j``, so it is one well-defined sequence of
+    operations.  An exponent above ``MAX_EXPONENT`` raises.
     """
 
     def __init__(self, cov: np.ndarray) -> None:
@@ -97,47 +212,25 @@ class WickTable:
             raise ValueError("covariance must be square")
         self.cov = cov
         self._nvars = cov.shape[0]
-        self._units = [1 << (FIELD_BITS * i) for i in range(self._nvars)]
-        # Per pivot row: (bit offset of j, key of e_j, cov[i, j]) over the
-        # nonzero entries in ascending j, as Python scalars.
-        self._rows = [
-            [(FIELD_BITS * j, self._units[j], c) for j, c in enumerate(row) if c]
-            for row in cov.tolist()
-        ]
-        self._memo: dict[int, complex] = {0: 1}
+        self._rows = cov.tolist()  # Python scalars
+        self._pattern = bytes(map(bool, chain.from_iterable(self._rows)))
+
+    def moments(self, alphas: Sequence[Sequence[int]]) -> list:
+        """``E[w^alpha]`` for each multi-index, in order, from one cached program."""
+        alphas = [a if type(a) is tuple else tuple(int(e) for e in a) for a in alphas]
+        if not set(map(len, alphas)) <= {self._nvars}:
+            bad = next(a for a in alphas if len(a) != self._nvars)
+            raise ValueError(f"multi-index {bad} does not have {self._nvars} entries")
+        if not self._nvars:
+            return [1] * len(alphas)
+        pairs, lengths, ops, srcs, out = _plan(self._nvars, _pack(alphas), self._pattern)
+        vals = [1, 0]
+        _replay(self._rows, pairs, lengths, ops, srcs, vals)
+        return list(map(vals.__getitem__, out))
 
     def moment(self, alpha: Sequence[int]) -> complex:
         """E[w^alpha] for centered Gaussian w with the stored covariance."""
-        if type(alpha) is not tuple:
-            alpha = tuple(int(e) for e in alpha)
-        if len(alpha) != self._nvars:
-            raise ValueError(f"multi-index {alpha} does not have {self._nvars} entries")
-        if sum(alpha) % 2:
-            return 0
-        try:
-            key = int.from_bytes(bytes(alpha), "little")
-        except ValueError:
-            raise ValueError(
-                f"multi-index {alpha} has an exponent outside 0..{MAX_EXPONENT}"
-            ) from None
-        cached = self._memo.get(key)
-        return self._fill(key) if cached is None else cached
-
-    def _fill(self, key: int) -> complex:
-        memo = self._memo
-        i = ((key & -key).bit_length() - 1) // FIELD_BITS
-        beta = key - self._units[i]
-        total = 0
-        for shift, step, c in self._rows[i]:
-            bj = (beta >> shift) & MAX_EXPONENT
-            if bj:
-                gamma = beta - step
-                value = memo.get(gamma)
-                if value is None:
-                    value = self._fill(gamma)
-                total += c * bj * value
-        memo[key] = total
-        return total
+        return self.moments([alpha])[0]
 
 
 @dataclass(frozen=True)
@@ -216,7 +309,6 @@ class GaussianForm:
         lin_new = self.lin[external]
         const_new = self.const
         scale_new = self.scale * numerics.pi(q_int) ** (m / 2.0) / sqrt_det
-        table = WickTable(0.5 * q_inv)
 
         poly, pick_ext = self.poly, _picker(external)
         # A block with no linear term and no coupling to the externals (every
@@ -244,9 +336,10 @@ class GaussianForm:
                 poly = poly.compose_affine(linear, const)
                 pick_int, pick_ext = _picker(range(m)), _picker(range(m, m + q))
 
+        moments = WickTable(0.5 * q_inv).moments([pick_int(e) for e in poly.terms])
         result: dict[tuple[int, ...], complex] = {}
-        for exps, coeff in poly.terms.items():
-            value = coeff * table.moment(pick_int(exps))
+        for (exps, coeff), moment in zip(poly.terms.items(), moments):
+            value = coeff * moment
             if value:
                 key = pick_ext(exps)
                 prev = result.get(key)
@@ -295,12 +388,11 @@ def integrate_integer(
     if deg > DEFAULT_DEGREE_CAP:
         raise DegreeCapError(f"prefactor degree {deg} exceeds cap {DEFAULT_DEGREE_CAP}")
     order = deg // 2
-    table = WickTable(den * adj)
+    moments = WickTable(den * adj).moments(alphas)
     # Sum coeff * W per (external monomial, m) first, so each sum meets its
     # large weight (2 det)^(order - m) once.
     sums: dict[tuple, int] = {}
-    for (exps, coeff), alpha in zip(form.poly.terms.items(), alphas):
-        value = table.moment(alpha)
+    for (exps, coeff), alpha, value in zip(form.poly.terms.items(), alphas, moments):
         if value:
             key = (pick_ext(exps), sum(alpha) // 2)
             sums[key] = sums.get(key, 0) + coeff * value

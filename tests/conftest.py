@@ -275,8 +275,8 @@ def mercer_search_reference(
 class WickTableReference:
     """Recursive Isserlis table on tuple keys, one method call per lookup.
 
-    Reference for the packed-key ``wick.WickTable``, whose moments must
-    equal these bit for bit: same pivot, same ascending ``j``, same sum.
+    Reference for the compiled programs of ``wick.WickTable``, whose moments
+    must equal these bit for bit: same pivot, same ascending ``j``, same sum.
     """
 
     def __init__(self, cov: np.ndarray) -> None:
@@ -285,6 +285,10 @@ class WickTableReference:
             raise ValueError("covariance must be square")
         self.cov = cov
         self._memo: dict[tuple[int, ...], complex] = {(0,) * cov.shape[0]: 1}
+
+    def moments(self, alphas) -> list:
+        """The batched entry point of ``wick.WickTable``, one recursive lookup per term."""
+        return [self.moment(alpha) for alpha in alphas]
 
     def moment(self, alpha: Sequence[int]) -> complex:
         """E[w^alpha] for centered Gaussian w with the stored covariance."""

@@ -282,6 +282,27 @@ def test_cli_npt(tmp_path):
     assert main(["npt", str(no_part)]) == 2
 
 
+def test_escalated_npt_and_check_at_the_default_kmax_on_a_degree_4_state(tmp_path, capsys):
+    # psi = (1 + x1 x2) exp(-|x|^2): its degree-4 density kernel reaches
+    # e_4 under the degree cap, below the default --kmax 5.
+    poly = MultiPoly(4, {(0, 0, 0, 0): 1.0, (1, 1, 0, 0): 1.0, (0, 0, 1, 1): 1.0, (1, 1, 1, 1): 1.0})
+    kernel = PolyGaussianKernel(poly, GaussianTriple(0.5 * np.eye(2), np.zeros((2, 2)), 0.5 * np.eye(2)))
+    spec = _write_spec(tmp_path, kernel, Bipartition(2, (0,)))
+    assert main(["npt", str(spec), "--escalate"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["stage"], doc["ek_kmax"], len(doc["ek_sweep"]["eks"])) == ("ek_sweep", 4, 4)
+    assert main(["check", str(spec), "--escalate", "--trials", "20"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [s["name"] for s in doc["stages"]][3:] == [
+        "mercer_search", "ek_sweep", "delta_sweep(delta=10)", "delta_sweep(delta=100)",
+        "delta_sweep(delta=1000)", "npt",
+    ]
+    assert doc["npt"] == {
+        "verdict": "npt_certified", "stage": "ek_sweep",
+        "pt_mu_max": doc["npt"]["pt_mu_max"], "ek_kmax": 4,
+    }
+
+
 def test_cli_fixture_round_trip(tmp_path, capsys):
     for name in ("caldeira-n0", "caldeira-n1", "caldeira-n2"):
         out = tmp_path / f"{name}.json"
@@ -341,10 +362,11 @@ def _schur_kernel(rng, n, support):
 def test_check_output_identical_to_reference_wick_engine(tmp_path, capsys, monkeypatch):
     # One kernel per class of the benchmark's trace-moment workload
     # (``check --trials 0``): the report must not move by a single bit when
-    # the packed Wick table and the cached orbit folds replace the
-    # recursive tuple-keyed table and per-call fold builds.  With this
-    # seed, summing the Wick recurrence in descending j changes the reports
-    # of two of the Schur kernels.
+    # the compiled Wick programs and the cached orbit folds replace the
+    # recursive tuple-keyed table and per-call fold builds, whether the
+    # programs are compiled in the run or replayed from the cache.  With
+    # this seed, summing the Wick recurrence in descending j changes the
+    # reports of two of the Schur kernels.
     rng = np.random.default_rng(123)
     cases = [
         (caldeira_kernel(0, 1.3), None),
@@ -371,9 +393,13 @@ def test_check_output_identical_to_reference_wick_engine(tmp_path, capsys, monke
 
     with monkeypatch.context() as m:
         m.setattr(wick, "WickTable", WickTableReference)
+        m.setattr(wick, "_plan", None)  # the reference run compiles no program
         m.setattr(spectral, "_chain_orbits", spectral._chain_orbits.__wrapped__)
         reference = reports()
     spectral._chain_orbits.cache_clear()
+    wick._plan.cache_clear()
+    assert reports() == reference
+    assert wick._plan.cache_info().misses > 0
     assert reports() == reference
     docs = [json.loads(text) for text in reference]
     assert [d["certificate_stage"] for d in docs].count(None) == len(cases) - 1

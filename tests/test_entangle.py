@@ -188,3 +188,23 @@ def test_npt_gate_rejects_unnormalizable_kernel():
     k = PolyGaussianKernel(p, _product_state_triple())
     with pytest.raises(ValueError):
         entangle.npt_gate(k, Bipartition(2, (0,)))
+
+
+
+def _schmidt_rank_two_state(e2: int = 1) -> PolyGaussianKernel:
+    """``psi psi*`` for ``psi(x) = (1 + x1 x2^e2) exp(-|x|^2)``: entangled, with a product Gaussian."""
+    poly = MultiPoly(4, {(0, 0, 0, 0): 1.0, (1, e2, 0, 0): 1.0, (0, 0, 1, e2): 1.0, (1, e2, 1, e2): 1.0})
+    return PolyGaussianKernel(poly, GaussianTriple(0.5 * np.eye(2), np.zeros((2, 2)), 0.5 * np.eye(2)))
+
+
+def test_escalated_npt_sweeps_to_the_degree_cap():
+    # Degree 4 reaches e_4 under the cap of 16; kmax 5 used to raise instead.
+    b = Bipartition(2, (0,))
+    verdict = entangle.npt_gate(_schmidt_rank_two_state(), b, escalate=True, kmax=5)
+    assert verdict.certified and verdict.stage == "ek_sweep" and verdict.sweep_kmax == 4
+    assert len(verdict.sweep.eks) == 4
+    # Degree 6 reaches e_2 only; the search goes on to Mercer.
+    wide = entangle.npt_gate(_schmidt_rank_two_state(2), b, escalate=True, trials=3)
+    assert wide.sweep_kmax == 2 and len(wide.sweep.eks) == 2
+    assert wide.stage in ("mercer_search", "escalated")
+    assert entangle.npt_gate(_schmidt_rank_two_state(), b).sweep_kmax is None

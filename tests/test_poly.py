@@ -85,6 +85,35 @@ def test_int_coefficients_stay_exact_and_are_never_pruned():
     assert (1, 1) not in as_complex.terms  # the float64 product prunes it
 
 
+def _call_on_numpy_scalars(p: MultiPoly, point) -> complex:
+    """``MultiPoly.__call__``'s expression evaluated on numpy scalars."""
+    total = 0
+    for exps, coeff in p.terms.items():
+        val = coeff
+        for z, e in zip(np.asarray(point), exps):
+            if e:
+                val *= z**e
+        total += val
+    return total
+
+
+def test_call_is_exact_on_ints_and_bit_identical_on_floats():
+    # Coefficients above 2^63 at an integer point: int64 scalars would overflow.
+    p = MultiPoly._from_terms(1, {(3,): 2**70, (0,): 1}, False)
+    assert p([-3]) == -27 * 2**70 + 1
+    assert type(p([-3])) is int
+    q = MultiPoly._from_terms(2, {(2, 1): 3**50, (0, 5): -(2**64), (1, 0): 7})
+    value = q(np.array([-5, 4]))
+    assert value == 3**50 * 25 * 4 - 2**64 * 4**5 - 35 and type(value) is int
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        poly = random_self_adjoint_poly(rng, n, terms=6, max_deg=4)
+        for point in (rng.normal(size=2 * n), rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)):
+            got, want = poly(point), _call_on_numpy_scalars(poly, point)
+            assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
+
 def test_scalar_factors_and_divisors_keep_the_coefficient_type():
     with mpmath.workdps(50):
         p = MultiPoly(1, {(0,): mpmath.mpf(3), (2,): mpmath.mpf("0.5")})

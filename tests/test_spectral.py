@@ -235,10 +235,14 @@ def test_mercer_search_matches_trial_by_trial_reference():
         # the rank-one product kernel is positive: no certificate
         (PolyGaussianKernel.pure_gaussian(GaussianTriple(np.eye(1), np.zeros((1, 1)), np.eye(1))), 20, 2, None),
     ]
-    for kernel, points, seed, trial in cases:
-        got = spectral.mercer_search(kernel, points_per_trial=points, seed=seed)
-        _assert_same_certificate(got, mercer_search_reference(kernel, points_per_trial=points, seed=seed))
-        assert (None if got is None else got.trial) == trial
+    spectral._mercer_draws.cache_clear()
+    for _ in range(2):  # fresh draws, then the cached read-only ones
+        for kernel, points, seed, trial in cases:
+            got = spectral.mercer_search(kernel, points_per_trial=points, seed=seed)
+            _assert_same_certificate(got, mercer_search_reference(kernel, points_per_trial=points, seed=seed))
+            assert (None if got is None else got.trial) == trial
+    assert spectral._mercer_draws.cache_info().hits > 0
+    assert not spectral._mercer_draws(0, 0, 1, 20, 1).flags.writeable
 
 
 def test_mercer_search_without_screen_matches_reference(monkeypatch):

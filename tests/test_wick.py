@@ -109,19 +109,31 @@ def _multi_indices(m: int, max_degree: int):
 
 
 def _same_bits(a, b) -> bool:
-    """Equal values, and for float64 the same bits (signed zeros included)."""
+    """Equal values, and for float64 the same bits (signed zeros included); ints exactly."""
     if isinstance(a, mpmath.mpf) or isinstance(b, mpmath.mpf):
         return a == b
+    if type(a) is int or type(b) is int:
+        return type(a) is type(b) and a == b
     return np.complex128(a).tobytes() == np.complex128(b).tobytes()
 
 
 def _assert_tables_agree(cov, m: int, max_degree: int = 16) -> None:
+    # moment() compiles one multi-index at a time; moments() replays the
+    # batch's program, cold and then cached, and in reverse term order.
+    alphas = _multi_indices(m, max_degree)
     new, ref = wick.WickTable(cov), WickTableReference(cov)
-    for alpha in _multi_indices(m, max_degree):
+    want = [ref.moment(alpha) for alpha in alphas]
+    for alpha, expect in zip(alphas, want):
         value = new.moment(alpha)
-        assert _same_bits(value, ref.moment(alpha)), alpha
+        assert _same_bits(value, expect), alpha
         if sum(alpha) % 2:
             assert value == 0
+    reordered = alphas[::-1]
+    for batch in (alphas, alphas, reordered):
+        got = wick.WickTable(cov).moments(batch)
+        expect = want if batch is alphas else want[::-1]
+        assert len(got) == len(batch)
+        assert all(_same_bits(g, w) for g, w in zip(got, expect))
 
 
 def test_wick_table_bit_identical_dense_complex():
@@ -150,6 +162,63 @@ def test_wick_table_bit_identical_mpmath():
         cov = 0.5 * np.array(mpmath.inverse(g).tolist(), dtype=object)
         _assert_tables_agree(cov, 3)
         assert isinstance(wick.WickTable(cov).moment((2, 2, 2)), mpmath.mpf)
+
+
+def test_wick_table_bit_identical_python_ints():
+    # The exact route: an int covariance gives exact int moments.
+    cov = np.array([[6, -2, 0, 1], [-2, 5, 3, 0], [0, 3, 7, -4], [1, 0, -4, 9]], dtype=object)
+    _assert_tables_agree(cov, 4)
+    assert type(wick.WickTable(cov).moments([(8, 8, 0, 0)])[0]) is int
+
+
+def test_wick_plan_cache_is_bounded_and_evicts():
+    wick._plan.cache_clear()
+    cov = np.array([[0.7, 0.2], [0.2, 0.9]])
+    batches = [[(2 * d, 0), (0, 2), (1, 1)] for d in range(wick.PLAN_CACHE_SIZE + 1)]
+    for batch in batches:
+        wick.WickTable(cov).moments(batch)
+    info = wick._plan.cache_info()
+    assert info.maxsize == wick.PLAN_CACHE_SIZE
+    assert info.currsize == wick.PLAN_CACHE_SIZE and info.misses == len(batches)
+    wick.WickTable(2 * cov).moments(batches[-1])  # the newest plan, for another covariance
+    wick.WickTable(cov).moments(batches[0])  # the oldest was evicted: compiled anew
+    info = wick._plan.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, len(batches) + 1, wick.PLAN_CACHE_SIZE)
+
+
+def test_wick_plans_are_not_shared_across_nvars_or_pattern():
+    wick._plan.cache_clear()
+    alphas = [(2, 2), (4, 0), (1, 3), (3, 1)]
+    # A diagonal covariance first: its plan pairs x only with x, so the
+    # dense covariance after it, with the same indices, needs its own plan.
+    for cov in ([[0.5, 0.0], [0.0, 0.75]], [[0.5, 0.25], [0.25, 0.75]]):
+        table, ref = wick.WickTable(np.array(cov)), WickTableReference(np.array(cov))
+        assert all(_same_bits(g, ref.moment(a)) for a, g in zip(alphas, table.moments(alphas)))
+    assert wick._plan.cache_info().misses == 2
+    # The same exponent bytes, b"\x02\x02", as one 2-variable index and as
+    # two 1-variable ones.
+    two = wick.WickTable(np.array([[0.5, 0.25], [0.25, 0.75]]))
+    one = wick.WickTable(np.array([[0.5]]))
+    assert _same_bits(two.moments([(2, 2)])[0], WickTableReference(two.cov).moment((2, 2)))
+    assert one.moments([(2,), (2,)]) == [0.5 + 0j, 0.5 + 0j]
+    assert wick._plan.cache_info().misses == 4
+
+
+def test_integrate_takes_its_moments_in_one_call(monkeypatch):
+    calls = []
+    moments = wick.WickTable.moments
+
+    def recording(self, alphas):
+        calls.append(len(alphas))
+        return moments(self, alphas)
+
+    monkeypatch.setattr(wick.WickTable, "moments", recording)
+    monkeypatch.setattr(wick.WickTable, "moment", None)
+    pref = MultiPoly(2, {(2, 0): 1.0, (1, 1): -2.0, (0, 2): 1.0, (0, 0): 0.5})
+    wick.poly_gaussian_integral(pref, np.array([[4.0, 0.5], [0.5, 4.0]]))
+    form = _integer_form([[4, 1], [1, 4]], {(2, 0): 3, (1, 1): -2, (0, 4): 1})
+    wick.integrate_integer(form, [0, 1], 2)
+    assert calls == [4, 3]
 
 
 def test_wick_table_list_input():

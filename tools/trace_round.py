@@ -36,6 +36,10 @@ SUMMARY = (
     "spectral.chain_form.busy_s",
     "wick.GaussianForm.integrate.busy_s",
     "wick.WickTable.moment.busy_s",
+    "wick.integrate.terms_in",
+    "spectral.moment.busy_s",
+    "pipeline.ek_sweep.busy_s",
+    "pipeline.delta_sweep.busy_s",
     "spectral.z_root.busy_s",
     "numerics.bracket_root.calls",
     "cli.main.self_s",
